@@ -23,7 +23,7 @@
 #include <string>
 
 #include "bench_util.hh"
-#include "core/parallel_offline.hh"
+#include "core/offline.hh"
 #include "core/pipeline.hh"
 #include "driver/cost_model.hh"
 #include "support/timer.hh"
@@ -123,7 +123,7 @@ runScaling(unsigned jobs, prorace::bench::JsonReporter &json)
 
         core::OfflineOptions par_opt = cfg.offline;
         par_opt.num_threads = jobs;
-        core::ParallelOfflineAnalyzer parallel(*bug.program, par_opt);
+        core::OfflineAnalyzer parallel(*bug.program, par_opt);
         core::OfflineResult parallel_result =
             parallel.analyze(run.trace);
         const double parallel_s = timer.lap();

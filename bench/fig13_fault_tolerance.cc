@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "core/parallel_offline.hh"
+#include "core/offline.hh"
 #include "core/pipeline.hh"
 #include "fault_injection.hh"
 #include "support/rng.hh"
@@ -104,12 +104,12 @@ runTrial(const workload::Workload &bug, const core::OfflineOptions &opt,
             return out;
         }
         out.loss = loaded.value().loss;
-        core::ParallelOfflineAnalyzer analyzer(*bug.program, opt);
+        core::OfflineAnalyzer analyzer(*bug.program, opt);
         core::OfflineResult result =
             analyzer.analyze(loaded.value().trace);
         out.recall = recallOf(baseline, racePairs(result.report));
         out.resyncs = result.decode_stats.resyncs;
-        out.quarantined = result.quarantine.windows_quarantined;
+        out.quarantined = result.replay_stats.windows_quarantined;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "CRASH: analysis threw: %s\n", e.what());
         out.crashed = true;
@@ -174,7 +174,7 @@ main(int argc, char **argv)
 
         core::OfflineOptions opt = cfg.offline;
         opt.num_threads = jobs;
-        core::ParallelOfflineAnalyzer analyzer(*bug.program, opt);
+        core::OfflineAnalyzer analyzer(*bug.program, opt);
         const RacePairs baseline =
             racePairs(analyzer.analyze(run.trace).report);
 

@@ -32,7 +32,6 @@
 
 #include "bench_util.hh"
 #include "core/offline.hh"
-#include "core/parallel_offline.hh"
 #include "core/pipeline.hh"
 #include "fault_injection.hh"
 #include "oracle/generator.hh"
@@ -71,7 +70,7 @@ runTrial(const oracle::GeneratedWorkload &gw,
             out.rejected = true;
             return out;
         }
-        core::ParallelOfflineAnalyzer analyzer(*gw.workload.program, opt);
+        core::OfflineAnalyzer analyzer(*gw.workload.program, opt);
         core::OfflineResult result = analyzer.analyze(loaded.value().trace);
         out.score = oracle::scoreReport(gw.truth, result.report);
     } catch (const std::exception &e) {

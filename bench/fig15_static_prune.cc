@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "core/parallel_offline.hh"
+#include "core/offline.hh"
 #include "core/pipeline.hh"
 #include "oracle/generator.hh"
 #include "oracle/scorer.hh"
@@ -102,9 +102,9 @@ main(int argc, char **argv)
         uint64_t events = 0, pruned = 0;
         oracle::RacePairSet pairs_on, pairs_off;
         for (int trial = 0; trial < trials; ++trial) {
-            core::ParallelOfflineAnalyzer a_on(*w->program, on);
+            core::OfflineAnalyzer a_on(*w->program, on);
             core::OfflineResult r_on = a_on.analyze(run.trace);
-            core::ParallelOfflineAnalyzer a_off(*w->program, off);
+            core::OfflineAnalyzer a_off(*w->program, off);
             core::OfflineResult r_off = a_off.analyze(run.trace);
 
             detect_on.push_back(r_on.detect_seconds);
@@ -175,9 +175,9 @@ main(int argc, char **argv)
         core::OfflineOptions off = on;
         off.static_prefilter = false;
 
-        core::ParallelOfflineAnalyzer a_on(*gw.workload.program, on);
+        core::OfflineAnalyzer a_on(*gw.workload.program, on);
         core::OfflineResult r_on = a_on.analyze(run.trace);
-        core::ParallelOfflineAnalyzer a_off(*gw.workload.program, off);
+        core::OfflineAnalyzer a_off(*gw.workload.program, off);
         core::OfflineResult r_off = a_off.analyze(run.trace);
 
         const oracle::OracleScore s_on =

@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "core/parallel_offline.hh"
+#include "core/offline.hh"
 #include "core/pipeline.hh"
 #include "oracle/generator.hh"
 #include "support/timer.hh"
@@ -67,7 +67,7 @@ detectSeconds(const workload::Workload &w, core::OfflineOptions opt,
     opt.run_summary = run_summary;
     double best = 1e9;
     for (int t = 0; t < trials; ++t) {
-        core::ParallelOfflineAnalyzer analyzer(*w.program, opt);
+        core::OfflineAnalyzer analyzer(*w.program, opt);
         core::OfflineResult result = analyzer.analyze(run);
         best = std::min(best, result.detect_seconds);
         if (report_out)

@@ -62,7 +62,7 @@
 
 #include "analysis/analysis.hh"
 #include "baseline/racez.hh"
-#include "core/parallel_offline.hh"
+#include "core/offline.hh"
 #include "core/pipeline.hh"
 #include "detect/fasttrack.hh"
 #include "oracle/generator.hh"
@@ -469,7 +469,7 @@ cmdAnalyze(const Args &args)
     opt.run_summary = !args.no_run_summary;
     if (args.racez)
         opt.replay.mode = replay::ReplayMode::kBasicBlock;
-    core::ParallelOfflineAnalyzer analyzer(*w->program, opt);
+    core::OfflineAnalyzer analyzer(*w->program, opt);
     auto analyzed = analyzer.analyzeFile(args.trace_file);
     if (!analyzed.ok()) {
         std::fprintf(stderr, "cannot analyze trace: %s\n",
@@ -481,12 +481,12 @@ cmdAnalyze(const Args &args)
         std::printf("trace damaged; analyzing what survives (%s)\n",
                     result.ingest_loss.summary().c_str());
     }
-    if (result.quarantine.windows_quarantined) {
+    if (result.replay_stats.windows_quarantined) {
         std::printf("quarantined %llu replay windows (%llu retried)\n",
                     static_cast<unsigned long long>(
-                        result.quarantine.windows_quarantined),
+                        result.replay_stats.windows_quarantined),
                     static_cast<unsigned long long>(
-                        result.quarantine.window_retries));
+                        result.replay_stats.window_retries));
     }
 
     std::printf("decode %.3fs  reconstruct %.3fs  detect %.3fs  "
@@ -499,7 +499,7 @@ cmdAnalyze(const Args &args)
                 result.replay_stats.recoveryRatio(),
                 result.regeneration_rounds);
     if (args.jobs > 0) {
-        const exec::ExecutorStats &es = analyzer.executorStats();
+        const exec::ExecutorStats es = analyzer.executorStats();
         std::printf("executor: %llu tasks (%llu stolen), max queue %llu, "
                     "mean task %.1fus\n",
                     static_cast<unsigned long long>(es.executed),

@@ -601,91 +601,33 @@ OfflineAnalyzer::OfflineAnalyzer(const asmkit::Program &program,
     // Hand the precomputed fact tables to the replay layer; replay and
     // alignment results are bit-identical with or without them.
     options_.replay.analysis = analysis_.get();
+    // Executor(0) would mean "hardware concurrency"; zero workers means
+    // no executor at all.
+    if (options_.num_threads > 0)
+        executor_ = std::make_unique<exec::Executor>(options_.num_threads);
 }
 
-void
-OfflineAnalyzer::analyzeOnce(
-    const trace::RunTrace &run,
-    const std::map<uint32_t, pmu::ThreadPath> &paths,
-    const std::map<uint32_t, replay::ThreadAlignment> &alignments,
-    const replay::ReplayConfig &replay_config, OfflineResult &result,
-    std::unordered_set<uint64_t> &consumed, bool first_round)
+exec::ExecutorStats
+OfflineAnalyzer::executorStats() const
 {
-    // --- reconstruction ---
-    Stopwatch timer;
-    replay::Replayer replayer(program_, replay_config);
-    std::vector<replay::ReconstructedAccess> accesses =
-        replayer.replayAll(paths, alignments, run);
-    result.replay_stats = replayer.stats();
-    result.extended_trace_events = accesses.size();
-    consumed = replayer.consumedAddresses();
-    result.reconstruct_seconds += timer.lap();
-
-    // --- detection (prefilter cost counts as detection cost) ---
-    detail::applyStaticPrefilter(accesses, analysis_.get(),
-                                 options_.static_prefilter,
-                                 result.prefilter, &run);
-    if (options_.incremental.enabled) {
-        detect::IncrementalFastTrack detector(options_.incremental);
-        // GC is gated until every thread of the run has appeared in the
-        // feed; the meta thread table is the authoritative population.
-        for (const trace::ThreadMeta &tm : run.meta.threads)
-            detector.requireThread(tm.tid);
-        detail::detectRacesIncremental(run, alignments, accesses,
-                                       detector, options_.run_summary,
-                                       &options_.checkpoint,
-                                       first_round);
-        result.report = detector.report();
-        result.detect_stats = detector.stats();
-        result.incremental.merge(detector.incrementalStats());
-    } else {
-        detail::detectRaces(run, alignments, accesses, result.report,
-                            result.detect_stats, options_.run_summary);
-    }
-    result.detect_seconds += timer.lap();
+    return executor_ ? executor_->stats() : exec::ExecutorStats();
 }
 
 OfflineResult
 OfflineAnalyzer::analyze(const trace::RunTrace &run)
 {
-    OfflineResult result;
+    return analyzeWith(run, options_);
+}
 
-    std::map<uint32_t, pmu::ThreadPath> paths;
-    std::map<uint32_t, replay::ThreadAlignment> alignments;
-    if (options_.replay.mode != replay::ReplayMode::kBasicBlock) {
-        Stopwatch timer;
-        paths = pmu::decodePt(program_, options_.pt_filter, run,
-                              &result.decode_stats);
-        result.decode_seconds = timer.lap();
-
-        alignments = replay::alignTrace(program_, paths, run,
-                                        &result.align_stats,
-                                        analysis_.get());
-        result.reconstruct_seconds += timer.lap();
-    }
-
-    replay::ReplayConfig replay_config = options_.replay;
-    for (int round = 0;; ++round) {
-        result.regeneration_rounds = round;
-        std::unordered_set<uint64_t> consumed;
-        OfflineResult pass = result; // keep timing accumulators
-        pass.report = detect::RaceReport();
-        analyzeOnce(run, paths, alignments, replay_config, pass, consumed,
-                    round == 0);
-        result = pass;
-
-        if (round >= options_.max_regeneration_rounds)
-            break;
-
-        std::vector<std::pair<uint64_t, uint64_t>> new_blacklist =
-            detail::regenerationBlacklist(result.report, consumed,
-                                          replay_config.mem_blacklist);
-        if (new_blacklist.empty())
-            break;
-        replay_config.mem_blacklist.insert(
-            replay_config.mem_blacklist.end(), new_blacklist.begin(),
-            new_blacklist.end());
-    }
+OfflineResult
+OfflineAnalyzer::analyze(const trace::LoadedTrace &loaded)
+{
+    OfflineOptions options = options_;
+    if (loaded.loss.sync_dropped > 0)
+        options.incremental.enable_gc = false;
+    OfflineResult result = analyzeWith(loaded.trace, options);
+    result.ingest_loss = loaded.loss;
+    result.compression = loaded.trace.meta.compression;
     return result;
 }
 
@@ -695,16 +637,80 @@ OfflineAnalyzer::analyzeFile(const std::string &path)
     auto loaded = trace::readTraceFile(path);
     if (!loaded.ok())
         return loaded.error();
-    // Lost sync segments can hide fork edges, and the GC soundness
-    // argument leans on observing every fork; keep the streaming
-    // batching but fall back to an unswept table for this damaged run.
-    const bool saved_gc = options_.incremental.enable_gc;
-    if (loaded.value().loss.sync_dropped > 0)
-        options_.incremental.enable_gc = false;
-    OfflineResult result = analyze(loaded.value().trace);
-    options_.incremental.enable_gc = saved_gc;
-    result.ingest_loss = loaded.value().loss;
-    result.compression = loaded.value().trace.meta.compression;
+    return analyze(loaded.value());
+}
+
+OfflineResult
+OfflineAnalyzer::analyzeWith(const trace::RunTrace &run,
+                             const OfflineOptions &options)
+{
+    OfflineResult result;
+    exec::Executor *ex = executor_.get();
+
+    std::map<uint32_t, pmu::ThreadPath> paths;
+    std::map<uint32_t, replay::ThreadAlignment> alignments;
+    if (options.replay.mode != replay::ReplayMode::kBasicBlock) {
+        Stopwatch timer;
+        paths = pmu::decodePt(program_, options.pt_filter, run,
+                              &result.decode_stats, ex);
+        result.decode_seconds = timer.lap();
+
+        alignments = replay::alignTrace(program_, paths, run,
+                                        &result.align_stats,
+                                        analysis_.get());
+        result.reconstruct_seconds += timer.lap();
+    }
+
+    replay::ReplayConfig replay_config = options.replay;
+    for (int round = 0;; ++round) {
+        result.regeneration_rounds = round;
+
+        // --- reconstruction ---
+        Stopwatch timer;
+        replay::Replayer replayer(program_, replay_config);
+        std::vector<replay::ReconstructedAccess> accesses =
+            replayer.replayAll(paths, alignments, run, ex);
+        result.replay_stats = replayer.stats();
+        result.extended_trace_events = accesses.size();
+        result.reconstruct_seconds += timer.lap();
+
+        // --- detection (prefilter cost counts as detection cost) ---
+        detail::applyStaticPrefilter(accesses, analysis_.get(),
+                                     options.static_prefilter,
+                                     result.prefilter, &run);
+        if (options.incremental.enabled) {
+            detect::IncrementalFastTrack detector(options.incremental);
+            // GC is gated until every thread of the run has appeared in
+            // the feed; the meta thread table is the authoritative
+            // population.
+            for (const trace::ThreadMeta &tm : run.meta.threads)
+                detector.requireThread(tm.tid);
+            detail::detectRacesIncremental(run, alignments, accesses,
+                                           detector, options.run_summary,
+                                           &options.checkpoint,
+                                           round == 0);
+            result.report = detector.report();
+            result.detect_stats = detector.stats();
+            result.incremental.merge(detector.incrementalStats());
+        } else {
+            detail::detectRaces(run, alignments, accesses, result.report,
+                                result.detect_stats, options.run_summary);
+        }
+        result.detect_seconds += timer.lap();
+
+        if (round >= options.max_regeneration_rounds)
+            break;
+
+        std::vector<std::pair<uint64_t, uint64_t>> new_blacklist =
+            detail::regenerationBlacklist(result.report,
+                                          replayer.consumedAddresses(),
+                                          replay_config.mem_blacklist);
+        if (new_blacklist.empty())
+            break;
+        replay_config.mem_blacklist.insert(
+            replay_config.mem_blacklist.end(), new_blacklist.begin(),
+            new_blacklist.end());
+    }
     return result;
 }
 

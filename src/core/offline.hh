@@ -17,6 +17,7 @@
 #include "detect/fasttrack.hh"
 #include "detect/incremental.hh"
 #include "detect/report.hh"
+#include "exec/executor.hh"
 #include "pmu/pt.hh"
 #include "pmu/pt_decode.hh"
 #include "replay/align.hh"
@@ -24,6 +25,7 @@
 #include "support/expected.hh"
 #include "trace/records.hh"
 #include "trace/trace_error.hh"
+#include "trace/trace_file.hh"
 
 namespace prorace::core {
 
@@ -81,10 +83,10 @@ struct OfflineOptions {
     /** Regeneration rounds when races land on emulated locations. */
     int max_regeneration_rounds = 2;
     /**
-     * Analysis worker threads for the ParallelOfflineAnalyzer:
-     * 0 = serial (the classic single-threaded pipeline), N > 0 = shard
-     * PT decode and window replay across N executor workers. The
-     * result is bit-identical either way.
+     * Analysis worker threads: 0 runs every stage on the calling thread;
+     * N > 0 gives the analyzer an N-worker executor that decodes the
+     * PT streams and replays the inter-sample windows as parallel
+     * tasks. The result is bit-identical either way.
      */
     unsigned num_threads = 0;
     /**
@@ -184,25 +186,6 @@ struct PrefilterStats {
     }
 };
 
-/**
- * Loss accounting of the parallel analyzer's window quarantine: a
- * replay window whose task threw is retried once on the commit thread
- * and then, if it fails again, dropped with its reconstructed accesses
- * (its samples still reach detection through the unmatched-sample
- * fallback).
- */
-struct QuarantineStats {
-    uint64_t window_retries = 0;      ///< failed tasks retried inline
-    uint64_t windows_quarantined = 0; ///< windows dropped after retry
-
-    void
-    merge(const QuarantineStats &other)
-    {
-        window_retries += other.window_retries;
-        windows_quarantined += other.windows_quarantined;
-    }
-};
-
 /** Everything the offline phase produces. */
 struct OfflineResult {
     detect::RaceReport report;
@@ -212,12 +195,11 @@ struct OfflineResult {
     detect::FastTrackStats detect_stats;
     /** Streaming-detector counters (OfflineOptions::incremental). */
     detect::IncrementalStats incremental;
-    /** What trace ingestion discarded (analyzeFile() path only). */
+    /** What trace ingestion discarded (LoadedTrace analysis only). */
     trace::SegmentLoss ingest_loss;
     /** v5 columnar compression counters of the ingested trace
-     *  (analyzeFile() path only; zero for in-memory analysis). */
+     *  (LoadedTrace analysis only; zero for a bare RunTrace). */
     trace::CompressionStats compression;
-    QuarantineStats quarantine;
     PrefilterStats prefilter;
     uint64_t extended_trace_events = 0; ///< counted before the prefilter
     int regeneration_rounds = 0;
@@ -248,6 +230,15 @@ class OfflineAnalyzer
     OfflineResult analyze(const trace::RunTrace &run);
 
     /**
+     * Analyze an ingested trace, recording what ingestion lost and the
+     * trace's compression counters. Lost sync segments can hide fork
+     * edges, and the epoch-GC soundness argument leans on observing
+     * every fork, so such a trace keeps the streaming batching but runs
+     * with GC off.
+     */
+    OfflineResult analyze(const trace::LoadedTrace &loaded);
+
+    /**
      * Ingest @p path fault-tolerantly and analyze what survives.
      * Segment damage degrades the result (recorded in
      * OfflineResult::ingest_loss); only an uninterpretable file —
@@ -257,30 +248,29 @@ class OfflineAnalyzer
     Result<OfflineResult, trace::TraceError>
     analyzeFile(const std::string &path);
 
+    /** Counters of this analyzer's executor since construction (all
+     *  zero without one). */
+    exec::ExecutorStats executorStats() const;
+
   private:
-    /** One reconstruction + detection pass with the given blacklist. */
-    void analyzeOnce(const trace::RunTrace &run,
-                     const std::map<uint32_t, pmu::ThreadPath> &paths,
-                     const std::map<uint32_t,
-                                    replay::ThreadAlignment> &alignments,
-                     const replay::ReplayConfig &replay_config,
-                     OfflineResult &result,
-                     std::unordered_set<uint64_t> &consumed,
-                     bool first_round);
+    OfflineResult analyzeWith(const trace::RunTrace &run,
+                              const OfflineOptions &options);
 
     const asmkit::Program &program_;
     OfflineOptions options_;
     /** Static facts shared by the aligner, replayer and prefilter. */
     std::unique_ptr<analysis::ProgramAnalysis> analysis_;
+    /** Decode and replay workers; null when num_threads is 0. */
+    std::unique_ptr<exec::Executor> executor_;
 };
 
 namespace detail {
 
 /**
- * The detection stage shared by the serial and parallel analyzers:
- * merge the reconstructed accesses and the sync trace into one
- * TSC-ordered feed (with the release < access < acquire tie-break at
- * equal timestamps) and run FastTrack over it. With @p run_summary set,
+ * The detection stage of the offline pipeline: merge the
+ * reconstructed accesses and the sync trace into one TSC-ordered feed
+ * (with the release < access < acquire tie-break at equal timestamps)
+ * and run FastTrack over it. With @p run_summary set,
  * consecutive identical accesses are folded through
  * FastTrack::foldRepeats (per-iteration fallback when the detector
  * cannot prove absorption); the report is byte-identical either way.
@@ -320,9 +310,9 @@ regenerationBlacklist(
     const std::vector<std::pair<uint64_t, uint64_t>> &existing);
 
 /**
- * The static access prefilter shared by the serial and parallel
- * analyzers: removes extended-trace events at definitely-thread-local
- * sites and accounts for what was dropped. A no-op (beyond counting
+ * The static access prefilter of the offline pipeline: removes
+ * extended-trace events at definitely-thread-local sites and accounts
+ * for what was dropped. A no-op (beyond counting
  * events_seen) when @p enabled is false or @p analysis is null.
  *
  * With @p run supplied and the points-to layer available, also prunes

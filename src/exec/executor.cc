@@ -59,6 +59,10 @@ Executor::enqueue(std::function<void()> task)
         if (depth > w.max_queue_depth)
             w.max_queue_depth = depth;
     }
+    // A worker checks pending_ and starts waiting under wake_mu_;
+    // passing through the mutex here makes the notify land after that
+    // wait begins or the check see this task, so it cannot be lost.
+    { std::lock_guard<std::mutex> lock(wake_mu_); }
     wake_cv_.notify_one();
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "exec/executor.hh"
 #include "support/log.hh"
 
 namespace prorace::pmu {
@@ -290,44 +291,40 @@ entryMap(const trace::RunTrace &run)
 
 std::map<uint32_t, ThreadPath>
 decodePt(const asmkit::Program &program, const PtFilter &filter,
-         const trace::RunTrace &run, PtDecodeStats *stats)
+         const trace::RunTrace &run, PtDecodeStats *stats,
+         exec::Executor *ex)
 {
     const std::map<uint32_t, uint32_t> entries = entryMap(run);
-    std::map<uint32_t, Walker> walkers;
-    PtDecodeStats local_stats;
-
-    for (const trace::PtCoreStream &stream : run.pt) {
-        decodeStreamInto(program, filter, stream, entries, walkers,
-                         local_stats);
+    // One walker set per core stream with an executor; without one,
+    // every stream feeds the same set.
+    const size_t shards = ex ? run.pt.size() : 1;
+    std::vector<std::map<uint32_t, Walker>> walkers(shards);
+    std::vector<PtDecodeStats> shard_stats(shards);
+    auto decode = [&](uint64_t core) {
+        const size_t shard = ex ? core : 0;
+        decodeStreamInto(program, filter, run.pt[core], entries,
+                         walkers[shard], shard_stats[shard]);
+    };
+    if (ex) {
+        ex->parallelFor(run.pt.size(), decode);
+    } else {
+        for (size_t core = 0; core < run.pt.size(); ++core)
+            decode(core);
     }
 
     std::map<uint32_t, ThreadPath> paths;
-    for (auto &[tid, w] : walkers)
-        paths.emplace(tid, std::move(w.path));
-
+    PtDecodeStats total;
+    for (size_t shard = 0; shard < shards; ++shard) {
+        for (auto &[tid, w] : walkers[shard]) {
+            // A tid with packets in two streams (thread migration)
+            // needs one walker threaded across both: decode serially.
+            if (!paths.emplace(tid, std::move(w.path)).second)
+                return decodePt(program, filter, run, stats);
+        }
+        total.merge(shard_stats[shard]);
+    }
     if (stats)
-        *stats = local_stats;
-    return paths;
-}
-
-std::map<uint32_t, ThreadPath>
-decodePtStream(const asmkit::Program &program, const PtFilter &filter,
-               const trace::RunTrace &run, size_t core,
-               PtDecodeStats *stats)
-{
-    PRORACE_ASSERT(core < run.pt.size(), "PT stream index out of range");
-    const std::map<uint32_t, uint32_t> entries = entryMap(run);
-    std::map<uint32_t, Walker> walkers;
-    PtDecodeStats local_stats;
-    decodeStreamInto(program, filter, run.pt[core], entries, walkers,
-                     local_stats);
-
-    std::map<uint32_t, ThreadPath> paths;
-    for (auto &[tid, w] : walkers)
-        paths.emplace(tid, std::move(w.path));
-
-    if (stats)
-        *stats = local_stats;
+        *stats = total;
     return paths;
 }
 

@@ -31,6 +31,10 @@
 #include "pmu/pt.hh"
 #include "trace/records.hh"
 
+namespace prorace::exec {
+class Executor;
+} // namespace prorace::exec
+
 namespace prorace::pmu {
 
 /** Marker in a decoded path standing for untraced (filtered-out) code. */
@@ -78,33 +82,23 @@ struct PtDecodeStats {
 /**
  * Decode every core stream of @p run against @p program.
  *
+ * With an executor, each core's stream decodes as its own task. The
+ * machine pins each thread to one core, so the per-core decodes are
+ * independent and their per-tid maps merge losslessly; a trace in which
+ * one tid spans two streams (thread migration) is decoded again
+ * serially, so the result is the same with or without @p ex.
+ *
  * @param program   the traced binary
  * @param filter    the PT filter the encoder ran with
  * @param run       trace with PT streams and thread entry metadata
  * @param stats     optional output statistics
+ * @param ex        optional executor for the per-stream decode
  * @return per-tid reconstructed paths
  */
 std::map<uint32_t, ThreadPath>
 decodePt(const asmkit::Program &program, const PtFilter &filter,
-         const trace::RunTrace &run, PtDecodeStats *stats = nullptr);
-
-/**
- * Decode a single core's packet stream in isolation (sharded decode).
- *
- * The machine pins each thread to one core, so every thread's packets
- * live in exactly one stream and the per-core decodes are independent:
- * decoding all streams and merging the per-tid maps yields the same
- * paths as the serial decodePt(). The parallel analyzer runs one such
- * task per stream. Callers must verify on merge that no tid appears in
- * two shards (a migrating-thread trace) and fall back to the serial
- * decoder when one does.
- *
- * @param core index into run.pt
- */
-std::map<uint32_t, ThreadPath>
-decodePtStream(const asmkit::Program &program, const PtFilter &filter,
-               const trace::RunTrace &run, size_t core,
-               PtDecodeStats *stats = nullptr);
+         const trace::RunTrace &run, PtDecodeStats *stats = nullptr,
+         exec::Executor *ex = nullptr);
 
 } // namespace prorace::pmu
 

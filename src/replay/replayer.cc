@@ -7,6 +7,8 @@
 #include <optional>
 
 #include "analysis/analysis.hh"
+#include "exec/executor.hh"
+#include "exec/reorder_buffer.hh"
 #include "isa/semantics.hh"
 #include "replay/static_info.hh"
 #include "support/log.hh"
@@ -1042,12 +1044,10 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
     }
 }
 
-void
+Replayer::EmitMap
 Replayer::replayWindow(const Window &win, const pmu::ThreadPath &path,
-                       const ThreadAlignment &alignment,
-                       const trace::RunTrace &run, EmitMap &emit_out)
+                       const trace::RunTrace &run)
 {
-    (void)alignment;
     ++stats_.windows;
     // Reconstruct into a window-local buffer. Consistency violations
     // (branch directions or known immediates contradicting the replayed
@@ -1103,7 +1103,8 @@ Replayer::replayWindow(const Window &win, const pmu::ThreadPath &path,
     if (!fwd_ok || !bwd_ok)
         ++stats_.inconsistent_windows;
 
-    for (const auto &[key, acc] : emit.entries) {
+    for (auto it = emit.entries.begin(); it != emit.entries.end();) {
+        const ReconstructedAccess &acc = it->second;
         // PC-relative addresses derive from the PT path alone and
         // sampled accesses from the hardware record; both always
         // survive.
@@ -1118,15 +1119,17 @@ Replayer::replayWindow(const Window &win, const pmu::ThreadPath &path,
           default:
             break;
         }
-        if (!keep) {
-            if (acc.origin == AccessOrigin::kForward)
-                --stats_.recovered_forward;
-            else
-                --stats_.recovered_backward;
+        if (keep) {
+            ++it;
             continue;
         }
-        emit_out.entries.insert({key, acc});
+        if (acc.origin == AccessOrigin::kForward)
+            --stats_.recovered_forward;
+        else
+            --stats_.recovered_backward;
+        it = emit.entries.erase(it);
     }
+    return emit;
 }
 
 void
@@ -1244,20 +1247,6 @@ Replayer::buildWindows(
 }
 
 void
-Replayer::replayThread(const pmu::ThreadPath &path,
-                       const ThreadAlignment &alignment,
-                       const trace::RunTrace &run,
-                       std::vector<ReconstructedAccess> &out)
-{
-    const std::map<uint64_t, const trace::SyncRecord *> sync_at =
-        syncAtMap(alignment, run);
-    EmitMap emit;
-    for (const Window &w : buildWindows(path, alignment, run, sync_at))
-        replayWindow(w, path, alignment, run, emit);
-    finalizeThread(path, alignment, run, emit, out);
-}
-
-void
 Replayer::finalizeThread(const pmu::ThreadPath &path,
                          const ThreadAlignment &alignment,
                          const trace::RunTrace &run, EmitMap &emit,
@@ -1297,7 +1286,7 @@ Replayer::finalizeThread(const pmu::ThreadPath &path,
 std::vector<ReconstructedAccess>
 Replayer::replayAll(const std::map<uint32_t, pmu::ThreadPath> &paths,
                     const std::map<uint32_t, ThreadAlignment> &alignments,
-                    const trace::RunTrace &run)
+                    const trace::RunTrace &run, exec::Executor *ex)
 {
     std::vector<ReconstructedAccess> out;
 
@@ -1320,30 +1309,125 @@ Replayer::replayAll(const std::map<uint32_t, pmu::ThreadPath> &paths,
                 out.push_back(acc);
             }
         }
+        sortByTsc(out);
+        return out;
+    }
+
+    // The window schedule, in commit order: ascending tid, then path
+    // order. sync_maps owns what Window::sync_at points into.
+    struct Job {
+        Window window;
+        const pmu::ThreadPath *path;
+        const ThreadAlignment *alignment;
+        bool last_of_thread;
+    };
+    std::map<uint32_t, std::map<uint64_t, const trace::SyncRecord *>>
+        sync_maps;
+    std::vector<Job> jobs;
+    for (const auto &[tid, path] : paths) {
+        auto it = alignments.find(tid);
+        if (it == alignments.end())
+            continue;
+        const auto &sync_at = sync_maps[tid] = syncAtMap(it->second, run);
+        const std::vector<Window> windows =
+            buildWindows(path, it->second, run, sync_at);
+        for (size_t i = 0; i < windows.size(); ++i) {
+            jobs.push_back({windows[i], &path, &it->second,
+                            i + 1 == windows.size()});
+        }
+    }
+
+    // A window replays on its own Replayer, so one that throws leaves
+    // no partial stats, consumed bytes or emits behind.
+    using Outcome = std::optional<std::pair<Replayer, EmitMap>>;
+    auto replay = [&](const Job &job) -> Outcome {
+        try {
+            Replayer window(program_, config_);
+            EmitMap emit = window.replayWindow(job.window, *job.path, run);
+            return Outcome(std::in_place, std::move(window),
+                           std::move(emit));
+        } catch (...) {
+            return std::nullopt;
+        }
+    };
+    EmitMap thread_emit;
+    auto commit = [&](const Job &job, Outcome outcome) {
+        if (!outcome) {
+            // Quarantine policy: retry a failed window once (transient
+            // failures, such as allocation pressure on a loaded
+            // worker, get a second chance), then drop it. Replay work
+            // is bounded by the window's path slice, so windows cannot
+            // hang and no timeout is needed.
+            ++stats_.window_retries;
+            if (Outcome retry = replay(job))
+                outcome.emplace(std::move(*retry));
+            else
+                ++stats_.windows_quarantined;
+        }
+        if (outcome) {
+            stats_.merge(outcome->first.stats_);
+            consumed_.merge(outcome->first.consumed_);
+            // Window ranges are disjoint, so no key is merged twice.
+            thread_emit.entries.merge(outcome->second.entries);
+        }
+        if (job.last_of_thread) {
+            finalizeThread(*job.path, *job.alignment, run, thread_emit,
+                           out);
+            thread_emit.entries.clear();
+        }
+    };
+
+    if (!ex) {
+        for (const Job &job : jobs)
+            commit(job, replay(job));
     } else {
-        for (const auto &[tid, path] : paths) {
-            auto it = alignments.find(tid);
-            if (it == alignments.end())
-                continue;
-            replayThread(path, it->second, run, out);
+        // Submission is throttled to the reorder-buffer capacity, so a
+        // commit can never block with every worker stuck on a
+        // later-sequence window (see reorder_buffer.hh).
+        const uint64_t capacity =
+            std::max<uint64_t>(2 * ex->numThreads(), 16);
+        exec::ReorderBuffer<Outcome> rob(capacity);
+        uint64_t next_submit = 0;
+        auto submit = [&] {
+            const uint64_t seq = next_submit++;
+            ex->submit([&, seq] { rob.commit(seq, replay(jobs[seq])); });
+        };
+        while (next_submit < jobs.size() && next_submit < capacity)
+            submit();
+        uint64_t popped = 0;
+        try {
+            for (const Job &job : jobs) {
+                Outcome outcome = rob.pop();
+                ++popped;
+                if (next_submit < jobs.size())
+                    submit();
+                commit(job, std::move(outcome));
+            }
+        } catch (...) {
+            // Submitted tasks still reference this frame: let them all
+            // finish before unwinding it.
+            for (; popped < next_submit; ++popped)
+                rob.pop();
+            throw;
         }
-        // Samples of threads without decoded paths still contribute
-        // their own access.
-        for (const trace::PebsRecord &rec : run.pebs) {
-            if (paths.count(rec.tid))
-                continue;
-            ReconstructedAccess acc;
-            acc.tid = rec.tid;
-            acc.insn_index = rec.insn_index;
-            acc.addr = rec.addr;
-            acc.width = rec.width;
-            acc.is_write = rec.is_write;
-            acc.is_atomic = rec.is_atomic;
-            acc.tsc = rec.tsc;
-            acc.origin = AccessOrigin::kSampled;
-            ++stats_.sampled;
-            out.push_back(acc);
-        }
+    }
+
+    // Samples of threads without decoded paths still contribute
+    // their own access.
+    for (const trace::PebsRecord &rec : run.pebs) {
+        if (paths.count(rec.tid))
+            continue;
+        ReconstructedAccess acc;
+        acc.tid = rec.tid;
+        acc.insn_index = rec.insn_index;
+        acc.addr = rec.addr;
+        acc.width = rec.width;
+        acc.is_write = rec.is_write;
+        acc.is_atomic = rec.is_atomic;
+        acc.tsc = rec.tsc;
+        acc.origin = AccessOrigin::kSampled;
+        ++stats_.sampled;
+        out.push_back(acc);
     }
 
     sortByTsc(out);

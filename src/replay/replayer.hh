@@ -40,6 +40,10 @@ namespace prorace::analysis {
 class ProgramAnalysis;
 } // namespace prorace::analysis
 
+namespace prorace::exec {
+class Executor;
+} // namespace prorace::exec
+
 namespace prorace::replay {
 
 /** Reconstruction scope. */
@@ -80,6 +84,8 @@ struct ReplayStats {
     uint64_t violations_sample = 0;   ///< sampled-address EA mismatches
     uint64_t violations_end = 0;      ///< closing-sample register mismatches
     uint64_t violations_backward = 0; ///< backward immediate contradictions
+    uint64_t window_retries = 0;      ///< windows that threw and reran
+    uint64_t windows_quarantined = 0; ///< windows that threw twice
 
     /** Paged-ProgramMap shadow counters, summed over all replay passes. */
     ProgramMapStats program_map;
@@ -112,6 +118,8 @@ struct ReplayStats {
         violations_sample += o.violations_sample;
         violations_end += o.violations_end;
         violations_backward += o.violations_backward;
+        window_retries += o.window_retries;
+        windows_quarantined += o.windows_quarantined;
         program_map.merge(o.program_map);
     }
 
@@ -160,6 +168,36 @@ struct ReplayConfig {
 class Replayer
 {
   public:
+    Replayer(const asmkit::Program &program, const ReplayConfig &config);
+
+    /**
+     * Replay every aligned thread; returns the extended memory trace
+     * sorted by estimated TSC.
+     *
+     * The inter-sample windows of every thread, in ascending-tid then
+     * path order, run inline or, with @p ex, as executor tasks whose
+     * results are committed in that same order; the trace and the
+     * statistics are identical either way. Each window replays on its
+     * own Replayer, so a window that throws contributes nothing: it is
+     * retried once and then quarantined (ReplayStats::window_retries,
+     * windows_quarantined), and its samples reach the trace through
+     * the unlocatable-sample fallback.
+     */
+    std::vector<ReconstructedAccess>
+    replayAll(const std::map<uint32_t, pmu::ThreadPath> &paths,
+              const std::map<uint32_t, ThreadAlignment> &alignments,
+              const trace::RunTrace &run, exec::Executor *ex = nullptr);
+
+    /** Accumulated statistics. */
+    const ReplayStats &stats() const { return stats_; }
+
+    /** Emulated-memory byte addresses whose values were consumed. */
+    const std::unordered_set<uint64_t> &consumedAddresses() const
+    {
+        return consumed_;
+    }
+
+  private:
     /** Deduplicating per-window emission buffer keyed by (position, slot). */
     struct EmitMap {
         std::map<uint64_t, ReconstructedAccess> entries;
@@ -180,7 +218,7 @@ class Replayer
      * propagation) is window i+1's opening sample (s1, the restored
      * register file). Both are immutable PEBS records in the run
      * trace, which is what makes windows replayable in parallel — the
-     * handoff between adjacent window tasks is these two pointers, not
+     * handoff between adjacent windows is these two pointers, not
      * mutable replay state.
      */
     struct Window {
@@ -192,31 +230,6 @@ class Replayer
         const std::map<uint64_t, const trace::SyncRecord *> *sync_at =
             nullptr;
     };
-
-    Replayer(const asmkit::Program &program, const ReplayConfig &config);
-
-    /**
-     * Replay one thread. Appends reconstructed accesses (including the
-     * sampled ones) to @p out in program order.
-     */
-    void replayThread(const pmu::ThreadPath &path,
-                      const ThreadAlignment &alignment,
-                      const trace::RunTrace &run,
-                      std::vector<ReconstructedAccess> &out);
-
-    /**
-     * Replay every aligned thread; returns the extended memory trace
-     * sorted by estimated TSC.
-     */
-    std::vector<ReconstructedAccess>
-    replayAll(const std::map<uint32_t, pmu::ThreadPath> &paths,
-              const std::map<uint32_t, ThreadAlignment> &alignments,
-              const trace::RunTrace &run);
-
-    /** Accumulated statistics. */
-    const ReplayStats &stats() const { return stats_; }
-
-    // --- window planning (shared by the serial and parallel paths) ---
 
     /** malloc/spawn sync records mapped to their path positions. */
     static std::map<uint64_t, const trace::SyncRecord *>
@@ -238,25 +251,19 @@ class Replayer
     /**
      * Post-window per-thread work: timestamp the emitted accesses and
      * append them in position order, then append this thread's
-     * path-unlocatable samples in record order. Appending per-thread
-     * results in ascending-tid order reproduces the serial replayAll
-     * sequence exactly.
+     * path-unlocatable samples in record order.
      */
     void finalizeThread(const pmu::ThreadPath &path,
                         const ThreadAlignment &alignment,
                         const trace::RunTrace &run, EmitMap &emit,
                         std::vector<ReconstructedAccess> &out);
 
-    /**
-     * The final deterministic ordering of the extended trace. Both
-     * analyzer paths build the pre-sort sequence identically, so this
-     * shared sort yields bit-identical extended traces.
-     */
+    /** Deterministic final ordering of the extended trace. */
     static void sortByTsc(std::vector<ReconstructedAccess> &out);
 
-    void replayWindow(const Window &win, const pmu::ThreadPath &path,
-                      const ThreadAlignment &alignment,
-                      const trace::RunTrace &run, EmitMap &emit);
+    /** Forward and backward replay of one window; returns its emits. */
+    EmitMap replayWindow(const Window &win, const pmu::ThreadPath &path,
+                         const trace::RunTrace &run);
 
     void forwardPass(const Window &win, const pmu::ThreadPath &path,
                      const trace::RunTrace &run, const FactList &facts,
@@ -270,13 +277,6 @@ class Replayer
 
     void replayBasicBlock(const trace::PebsRecord &rec, EmitMap &emit);
 
-    /** Emulated-memory byte addresses whose values were consumed. */
-    const std::unordered_set<uint64_t> &consumedAddresses() const
-    {
-        return consumed_;
-    }
-
-  private:
     const asmkit::Program &program_;
     ReplayConfig config_;
     ReplayStats stats_;

@@ -352,14 +352,10 @@ AnalysisService::analyzeSession(std::shared_ptr<SessionState> session)
         return;
     }
 
-    trace::LoadedTrace &loaded = finished.value();
+    const trace::LoadedTrace &loaded = finished.value();
     outcome.loss = loaded.loss;
     outcome.compression = loaded.trace.meta.compression;
     core::OfflineOptions opts = options_.offline;
-    // GC soundness gate: a lossy sync stream may hide fork edges,
-    // so this session runs batched but unswept (still identical).
-    if (loaded.loss.sync_dropped > 0)
-        opts.incremental.enable_gc = false;
 
     const std::string ckpt_path = checkpointPath(
         session->tenant, session->program_id, stream_bytes, stream_crc);
@@ -417,7 +413,7 @@ AnalysisService::analyzeSession(std::shared_ptr<SessionState> session)
             }
 
             core::OfflineAnalyzer analyzer(*session->program, opts);
-            core::OfflineResult result = analyzer.analyze(loaded.trace);
+            core::OfflineResult result = analyzer.analyze(loaded);
             outcome.ok = true;
             outcome.warm_started = resumed;
             outcome.checkpoints_written = checkpoints_written;
@@ -425,7 +421,7 @@ AnalysisService::analyzeSession(std::shared_ptr<SessionState> session)
             outcome.detect_stats = result.detect_stats;
             outcome.incremental = result.incremental;
             outcome.prefilter = result.prefilter;
-            outcome.quarantine = result.quarantine;
+            outcome.replay = result.replay_stats;
             outcome.extended_trace_events = result.extended_trace_events;
             break;
         } catch (const DeadlineExceeded &e) {
@@ -484,7 +480,7 @@ AnalysisService::completeSession(
     ts.compression.merge(outcome.compression);
     ts.incremental.merge(outcome.incremental);
     ts.prefilter.merge(outcome.prefilter);
-    ts.quarantine.merge(outcome.quarantine);
+    ts.replay.merge(outcome.replay);
     ts.segments_dropped += outcome.loss.segments_dropped;
     ts.sync_dropped += outcome.loss.sync_dropped;
     ts.segments_seen += outcome.loss.segments_seen;

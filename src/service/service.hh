@@ -152,7 +152,8 @@ struct SessionOutcome {
     detect::FastTrackStats detect_stats;
     detect::IncrementalStats incremental;
     core::PrefilterStats prefilter;
-    core::QuarantineStats quarantine;
+    /** Reconstruction counters, window quarantine included. */
+    replay::ReplayStats replay;
     uint64_t extended_trace_events = 0;
     double ingest_to_report_seconds = 0; ///< openSession -> store fold
     /** Supervision: how many analysis attempts this session took. */
@@ -178,7 +179,7 @@ struct TenantServiceStats {
     trace::CompressionStats compression;
     detect::IncrementalStats incremental;
     core::PrefilterStats prefilter;
-    core::QuarantineStats quarantine;
+    replay::ReplayStats replay;
     uint64_t segments_dropped = 0;
     uint64_t sync_dropped = 0;
     // Full salvage/loss accounting (trace::SegmentLoss rollup): what
@@ -209,7 +210,7 @@ struct TenantServiceStats {
         compression.merge(other.compression);
         incremental.merge(other.incremental);
         prefilter.merge(other.prefilter);
-        quarantine.merge(other.quarantine);
+        replay.merge(other.replay);
         segments_dropped += other.segments_dropped;
         sync_dropped += other.sync_dropped;
         segments_seen += other.segments_seen;

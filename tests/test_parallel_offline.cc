@@ -1,16 +1,17 @@
 /**
  * @file
- * Serial/parallel equivalence of the offline-analysis engine: for every
- * workload, seed, and thread count, ParallelOfflineAnalyzer must
- * produce a byte-identical race report and identical pipeline
- * statistics to the serial OfflineAnalyzer on the same trace
- * (everything except the wall-clock timers).
+ * Thread-count invariance of the offline analyzer: for every workload,
+ * seed, and thread count, OfflineAnalyzer with an N-worker executor
+ * must produce a byte-identical race report and identical pipeline
+ * statistics to the same analyzer with no executor on the same trace
+ * (everything except the wall-clock timers), with one-shot and with
+ * streaming detection.
  */
 
 #include <gtest/gtest.h>
 
 #include "asmkit/builder.hh"
-#include "core/parallel_offline.hh"
+#include "core/offline.hh"
 #include "core/pipeline.hh"
 #include "workload/racybugs.hh"
 
@@ -25,17 +26,14 @@ using isa::Reg;
 const unsigned kThreadCounts[] = {1, 2, 8};
 
 /**
- * Analyze @p run serially and with @p num_threads workers; every
- * non-timing field of the results must match exactly.
+ * Analyze @p run with no executor and with @p num_threads workers;
+ * every non-timing field of the results must match exactly.
  */
 void
-expectEquivalent(const Program &program, const trace::RunTrace &run,
-                 const core::OfflineOptions &base, unsigned num_threads,
-                 const char *label, int *regeneration_rounds = nullptr)
+expectEquivalentOnce(const Program &program, const trace::RunTrace &run,
+                     const core::OfflineOptions &base,
+                     unsigned num_threads, int *regeneration_rounds)
 {
-    SCOPED_TRACE(std::string(label) + ", num_threads=" +
-                 std::to_string(num_threads));
-
     core::OfflineOptions serial_opt = base;
     serial_opt.num_threads = 0;
     core::OfflineAnalyzer serial(program, serial_opt);
@@ -45,7 +43,7 @@ expectEquivalent(const Program &program, const trace::RunTrace &run,
 
     core::OfflineOptions parallel_opt = base;
     parallel_opt.num_threads = num_threads;
-    core::ParallelOfflineAnalyzer parallel(program, parallel_opt);
+    core::OfflineAnalyzer parallel(program, parallel_opt);
     core::OfflineResult p = parallel.analyze(run);
 
     // The report, byte for byte.
@@ -68,7 +66,7 @@ expectEquivalent(const Program &program, const trace::RunTrace &run,
     EXPECT_EQ(s.align_stats.candidates_rejected,
               p.align_stats.candidates_rejected);
 
-    // Replay stats, every counter.
+    // Replay stats, every counter, window quarantine included.
     EXPECT_EQ(s.replay_stats.sampled, p.replay_stats.sampled);
     EXPECT_EQ(s.replay_stats.recovered_forward,
               p.replay_stats.recovered_forward);
@@ -91,6 +89,10 @@ expectEquivalent(const Program &program, const trace::RunTrace &run,
               p.replay_stats.violations_end);
     EXPECT_EQ(s.replay_stats.violations_backward,
               p.replay_stats.violations_backward);
+    EXPECT_EQ(s.replay_stats.window_retries,
+              p.replay_stats.window_retries);
+    EXPECT_EQ(s.replay_stats.windows_quarantined,
+              p.replay_stats.windows_quarantined);
 
     // Detection stats (identical feed => identical FastTrack path mix).
     EXPECT_EQ(s.detect_stats.reads, p.detect_stats.reads);
@@ -99,6 +101,44 @@ expectEquivalent(const Program &program, const trace::RunTrace &run,
     EXPECT_EQ(s.detect_stats.epoch_fast_path,
               p.detect_stats.epoch_fast_path);
     EXPECT_EQ(s.detect_stats.read_shares, p.detect_stats.read_shares);
+
+    // Streaming-detector counters (all zero for one-shot detection).
+    EXPECT_EQ(s.incremental.events, p.incremental.events);
+    EXPECT_EQ(s.incremental.batches, p.incremental.batches);
+    EXPECT_EQ(s.incremental.gc_sweeps, p.incremental.gc_sweeps);
+    EXPECT_EQ(s.incremental.gc_gated, p.incremental.gc_gated);
+    EXPECT_EQ(s.incremental.granules_reclaimed,
+              p.incremental.granules_reclaimed);
+    EXPECT_EQ(s.incremental.clocks_reclaimed,
+              p.incremental.clocks_reclaimed);
+    EXPECT_EQ(s.incremental.peak_live_granules,
+              p.incremental.peak_live_granules);
+    EXPECT_EQ(s.incremental.peak_live_clocks,
+              p.incremental.peak_live_clocks);
+}
+
+/**
+ * expectEquivalentOnce with one-shot detection and again with the
+ * service's streaming configuration (incremental detection, 256-event
+ * batches).
+ */
+void
+expectEquivalent(const Program &program, const trace::RunTrace &run,
+                 const core::OfflineOptions &base, unsigned num_threads,
+                 const char *label, int *regeneration_rounds = nullptr)
+{
+    SCOPED_TRACE(std::string(label) + ", num_threads=" +
+                 std::to_string(num_threads));
+    {
+        SCOPED_TRACE("one-shot detection");
+        expectEquivalentOnce(program, run, base, num_threads,
+                             regeneration_rounds);
+    }
+    SCOPED_TRACE("incremental detection");
+    core::OfflineOptions streaming = base;
+    streaming.incremental.enabled = true;
+    streaming.incremental.batch_events = 256;
+    expectEquivalentOnce(program, run, streaming, num_threads, nullptr);
 }
 
 /**
@@ -185,21 +225,25 @@ TEST(ParallelOffline, MatchesSerialOnRaceFreeWorkload)
                          "apache-21287");
 }
 
-TEST(ParallelOffline, ZeroThreadsDelegatesToSerialEngine)
+TEST(ParallelOffline, ZeroThreadsRunsNoExecutorTasks)
 {
     workload::Workload w = workload::makeRacyBug("pfscan", 0.4);
     auto cfg = core::proRaceConfig(100, 2, w.pt_filter);
     auto run = core::Session::run(*w.program, w.setup, cfg.session);
 
-    core::ParallelOfflineAnalyzer analyzer(*w.program, cfg.offline);
     ASSERT_EQ(cfg.offline.num_threads, 0u);
-    core::OfflineResult r = analyzer.analyze(run.trace);
-    // The serial delegation ran no executor tasks.
-    EXPECT_EQ(analyzer.executorStats().executed, 0u);
-    core::OfflineAnalyzer serial(*w.program, cfg.offline);
-    core::OfflineResult s = serial.analyze(run.trace);
+    core::OfflineAnalyzer inline_analyzer(*w.program, cfg.offline);
+    core::OfflineResult r = inline_analyzer.analyze(run.trace);
+    // No executor: every window ran inline.
+    EXPECT_EQ(inline_analyzer.executorStats().executed, 0u);
+
+    core::OfflineOptions two = cfg.offline;
+    two.num_threads = 2;
+    core::OfflineAnalyzer pooled(*w.program, two);
+    core::OfflineResult p = pooled.analyze(run.trace);
+    EXPECT_GT(pooled.executorStats().executed, 0u);
     EXPECT_EQ(r.report.format(w.program.get()),
-              s.report.format(w.program.get()));
+              p.report.format(w.program.get()));
 }
 
 } // namespace

@@ -457,19 +457,28 @@ struct CapturedCheckpoint {
     std::vector<uint8_t> image;
 };
 
+/** The batch boundaries and report of one checkpoint-identity run. */
+struct CheckpointTrail {
+    std::vector<uint64_t> cursors;
+    std::string report;
+};
+
 /**
- * Run streaming analysis capturing a checkpoint at every batch
- * boundary, then re-run restored from randomized checkpoints and
- * demand the byte-identical report.
+ * Run streaming analysis with @p num_threads analysis workers,
+ * capturing a checkpoint at every batch boundary, then re-run restored
+ * from randomized checkpoints and demand the byte-identical report.
+ * The boundary cursors and the report go to @p trail.
  */
 void
 expectCheckpointIdentity(const asmkit::Program &program,
                          const trace::RunTrace &trace,
                          const pmu::PtFilter &filter, uint64_t seed,
-                         const std::string &label)
+                         const std::string &label, unsigned num_threads,
+                         CheckpointTrail *trail = nullptr)
 {
     core::OfflineOptions streaming;
     streaming.pt_filter = filter;
+    streaming.num_threads = num_threads;
     streaming.incremental.enabled = true;
     streaming.incremental.batch_events = 256; // many boundaries
     streaming.incremental.gc_min_events = 64;
@@ -487,6 +496,11 @@ expectCheckpointIdentity(const asmkit::Program &program,
     const core::OfflineResult base = base_analyzer.analyze(trace);
     const std::string expected = base.report.format(&program);
     ASSERT_FALSE(checkpoints.empty()) << label;
+    if (trail) {
+        trail->report = expected;
+        for (const CapturedCheckpoint &ckpt : checkpoints)
+            trail->cursors.push_back(ckpt.cursor);
+    }
 
     // Randomized restore positions: the first boundary, the end-of-feed
     // checkpoint, and a seeded-random interior one.
@@ -544,6 +558,26 @@ expectCheckpointIdentity(const asmkit::Program &program,
     }
 }
 
+/**
+ * expectCheckpointIdentity with no executor and with two workers: the
+ * boundaries must fire at the same cursors and the reports must match.
+ */
+void
+expectCheckpointIdentityInlineAndPooled(const asmkit::Program &program,
+                                        const trace::RunTrace &trace,
+                                        const pmu::PtFilter &filter,
+                                        uint64_t seed,
+                                        const std::string &label)
+{
+    CheckpointTrail inline_trail, pooled_trail;
+    expectCheckpointIdentity(program, trace, filter, seed, label, 0,
+                             &inline_trail);
+    expectCheckpointIdentity(program, trace, filter, seed,
+                             label + " (2 threads)", 2, &pooled_trail);
+    EXPECT_EQ(inline_trail.cursors, pooled_trail.cursors) << label;
+    EXPECT_EQ(inline_trail.report, pooled_trail.report) << label;
+}
+
 TEST(CheckpointRestore, EveryRegistrySubject)
 {
     const uint64_t seed = testutil::testSeed(71);
@@ -556,8 +590,8 @@ TEST(CheckpointRestore, EveryRegistrySubject)
         cfg.session.run_baseline = false;
         core::RunArtifacts run =
             core::Session::run(*w->program, w->setup, cfg.session);
-        expectCheckpointIdentity(*w->program, run.trace, w->pt_filter,
-                                 seed + 1, name);
+        expectCheckpointIdentityInlineAndPooled(
+            *w->program, run.trace, w->pt_filter, seed + 1, name);
     }
 }
 
@@ -573,10 +607,33 @@ TEST(CheckpointRestore, OracleBattery)
         pc.session.run_baseline = false;
         core::RunArtifacts run = core::Session::run(
             *gw.workload.program, gw.workload.setup, pc.session);
-        expectCheckpointIdentity(*gw.workload.program, run.trace,
-                                 gw.workload.pt_filter, seed + 13,
-                                 gw.workload.name);
+        expectCheckpointIdentityInlineAndPooled(
+            *gw.workload.program, run.trace, gw.workload.pt_filter,
+            seed + 13, gw.workload.name);
     }
+}
+
+TEST(CheckpointRestore, ThrowingTickAbortsPooledAnalysis)
+{
+    // The deadline hook is honoured with analysis workers too: the
+    // first tick that throws ends the analysis.
+    const uint64_t seed = testutil::testSeed(79);
+    PRORACE_SEED_TRACE(seed);
+    auto w = workload::findWorkload("aget-bug2", 0.2);
+    ASSERT_TRUE(w.has_value());
+    core::PipelineConfig cfg = core::proRaceConfig(8, seed, w->pt_filter);
+    cfg.session.run_baseline = false;
+    cfg.offline.num_threads = 2;
+    cfg.offline.incremental.enabled = true;
+    cfg.offline.incremental.batch_events = 64;
+    unsigned ticks = 0;
+    cfg.offline.checkpoint.tick = [&] {
+        ++ticks;
+        throw std::runtime_error("deadline");
+    };
+    EXPECT_THROW(core::runPipeline(*w->program, w->setup, cfg),
+                 std::runtime_error);
+    EXPECT_EQ(ticks, 1u);
 }
 
 TEST(CheckpointRestore, SyncVocabularyOracles)
@@ -613,7 +670,7 @@ TEST(CheckpointRestore, SyncVocabularyOracles)
             *gw.workload.program, gw.workload.setup, pc.session);
         expectCheckpointIdentity(*gw.workload.program, run.trace,
                                  gw.workload.pt_filter, seed + 17,
-                                 gw.workload.name);
+                                 gw.workload.name, 0);
     }
 }
 

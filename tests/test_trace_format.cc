@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -521,6 +522,13 @@ TEST(TraceFormatV5, SyncLossDisablesEpochGcForEveryKind)
         std::fclose(f);
     };
 
+    // A deadline that aborts the gated analysis must not leave the
+    // analyzer running later traces unswept.
+    bool deadline_armed = false;
+    pc.offline.checkpoint.tick = [&] {
+        if (deadline_armed)
+            throw std::runtime_error("deadline");
+    };
     core::OfflineAnalyzer analyzer(*gw.workload.program, pc.offline);
     write_file(bytes);
     auto clean = analyzer.analyzeFile(path);
@@ -541,12 +549,17 @@ TEST(TraceFormatV5, SyncLossDisablesEpochGcForEveryKind)
     ASSERT_TRUE(hit);
     write_file(damaged);
     auto lossy = analyzer.analyzeFile(path);
-    std::remove(path.c_str());
     ASSERT_TRUE(lossy.ok());
     EXPECT_GT(lossy.value().ingest_loss.sync_dropped, 0u);
     EXPECT_EQ(lossy.value().incremental.gc_sweeps, 0u);
     EXPECT_GT(lossy.value().incremental.batches, 0u)
         << "batching must stay on; only the sweeps stop";
+
+    deadline_armed = true;
+    EXPECT_THROW(analyzer.analyzeFile(path), std::runtime_error);
+    std::remove(path.c_str());
+    deadline_armed = false;
+    EXPECT_GT(analyzer.analyze(run.trace).incremental.gc_sweeps, 0u);
 }
 
 // --- detector-side run folding ------------------------------------
