@@ -1,8 +1,7 @@
 /**
  * @file
  * Figure 20 (beyond the paper): what the Andersen points-to layer adds
- * on top of the stack-only escape prefilter of fig15 — heap-locality
- * event pruning, indirect-branch fan-out sharpening, and replay
+ * to the offline phase — indirect-branch fan-out sharpening and replay
  * constant recovery — with report identity asserted everywhere.
  *
  * For each subject the online phase runs once; the same trace is then
@@ -12,9 +11,7 @@
  *   - the racy-pair set is byte-identical with points-to on and off on
  *     every subject, every workload of the full registry (small scale),
  *     and the full oracle battery including the sync-vocabulary half;
- *   - at least one heap-heavy subject prunes strictly MORE events with
- *     points-to on than its stack-only (points-to off) fig15 baseline,
- *     with a nonzero heap-local share;
+ *   - points-to off recovers no constant loads;
  *   - on every subject with resolved indirect transfers, the summed
  *     sharp fan-out is strictly smaller than the blunt address-taken
  *     fan-out.
@@ -44,7 +41,6 @@ using namespace prorace;
 
 const char *const kSubjects[] = {"ptr-dispatch", "mpmc-queue",
                                  "event-loop", "pfscan"};
-const char *const kHeapHeavy = "ptr-dispatch";
 constexpr uint64_t kPeriod = 100;
 constexpr uint64_t kSeed = 31;
 
@@ -102,18 +98,15 @@ main(int argc, char **argv)
     const double scale = 0.05 * bench::envScale();
 
     bench::banner("Figure 20",
-                  "Andersen points-to layer: heap-locality pruning over "
-                  "the fig15 stack-only baseline, indirect fan-out "
+                  "Andersen points-to layer: indirect fan-out "
                   "sharpening, constant recovery — report identity "
                   "asserted.");
     std::printf("jobs = %u, trials = %d, period = %llu\n\n", jobs, trials,
                 static_cast<unsigned long long>(kPeriod));
-    std::printf("%-14s %9s %9s %9s %9s %7s %7s %9s\n", "workload",
-                "events", "pruned_on", "prunedoff", "heap", "ivals",
-                "const", "fanout");
+    std::printf("%-14s %9s %9s %7s %9s\n", "workload", "events",
+                "pruned", "const", "fanout");
 
     bool ok = true;
-    bool heap_floor_met = false;
 
     for (const char *name : kSubjects) {
         auto w = workload::findWorkload(name, scale);
@@ -127,19 +120,13 @@ main(int argc, char **argv)
         core::RunArtifacts run =
             core::Session::run(*w->program, w->setup, pc.session);
 
-        uint64_t events = 0, pruned_on = 0, pruned_off = 0;
-        uint64_t pruned_heap = 0, intervals = 0, defeated = 0;
-        uint64_t recovered_const = 0;
+        uint64_t events = 0, pruned = 0, recovered_const = 0;
         for (int trial = 0; trial < trials; ++trial) {
             const OnOff r =
                 analyzeBoth(*w->program, run, pc.offline, jobs);
             ok &= assertIdentical(name, r);
             events = r.on.prefilter.events_seen;
-            pruned_on = r.on.prefilter.pruned();
-            pruned_off = r.off.prefilter.pruned();
-            pruned_heap = r.on.prefilter.pruned_heap;
-            intervals = r.on.prefilter.heap_intervals;
-            defeated = r.on.prefilter.heap_defeated;
+            pruned = r.on.prefilter.pruned();
             recovered_const = r.on.replay_stats.recovered_constant;
             if (r.off.replay_stats.recovered_constant != 0) {
                 std::fprintf(stderr,
@@ -154,13 +141,7 @@ main(int argc, char **argv)
                  {"jobs", std::to_string(jobs)},
                  {"trial", std::to_string(trial)}},
                 {{"events", static_cast<double>(events)},
-                 {"pruned_on", static_cast<double>(pruned_on)},
-                 {"pruned_off", static_cast<double>(pruned_off)},
-                 {"pruned_heap", static_cast<double>(pruned_heap)},
-                 {"heap_intervals", static_cast<double>(intervals)},
-                 {"heap_defeated", static_cast<double>(defeated)},
-                 {"sites_heap_local",
-                  static_cast<double>(r.on.prefilter.sites_heap_local)},
+                 {"pruned", static_cast<double>(pruned)},
                  {"recovered_constant",
                   static_cast<double>(recovered_const)},
                  {"pointsto_objects",
@@ -195,21 +176,13 @@ main(int argc, char **argv)
             ok = false;
         }
 
-        if (std::strcmp(name, kHeapHeavy) == 0 &&
-            pruned_on > pruned_off && pruned_heap > 0) {
-            heap_floor_met = true;
-        }
-
         char fanout[48];
         std::snprintf(fanout, sizeof(fanout), "%llu<%llu",
                       static_cast<unsigned long long>(pt.fanout_sharp),
                       static_cast<unsigned long long>(pt.fanout_blunt));
-        std::printf("%-14s %9llu %9llu %9llu %9llu %7llu %7llu %9s\n",
-                    name, static_cast<unsigned long long>(events),
-                    static_cast<unsigned long long>(pruned_on),
-                    static_cast<unsigned long long>(pruned_off),
-                    static_cast<unsigned long long>(pruned_heap),
-                    static_cast<unsigned long long>(intervals),
+        std::printf("%-14s %9llu %9llu %7llu %9s\n", name,
+                    static_cast<unsigned long long>(events),
+                    static_cast<unsigned long long>(pruned),
                     static_cast<unsigned long long>(recovered_const),
                     pt.resolved_indirect_sites ? fanout : "-");
     }
@@ -234,12 +207,10 @@ main(int argc, char **argv)
         ok &= identical;
         const oracle::OracleScore s_on =
             oracle::scoreReport(gw.truth, r.on.report);
-        std::printf("  %-18s recall %.3f pruned %llu (heap %llu) %s\n",
+        std::printf("  %-18s recall %.3f pruned %llu %s\n",
                     gw.workload.name.c_str(), s_on.recall(),
                     static_cast<unsigned long long>(
                         r.on.prefilter.pruned()),
-                    static_cast<unsigned long long>(
-                        r.on.prefilter.pruned_heap),
                     identical ? "identical" : "DIFFER");
         json.record("fig20_pointsto",
                     {{"workload", gw.workload.name},
@@ -247,8 +218,6 @@ main(int argc, char **argv)
                      {"trial", "oracle"}},
                     {{"pruned", static_cast<double>(
                                     r.on.prefilter.pruned())},
-                     {"pruned_heap", static_cast<double>(
-                                         r.on.prefilter.pruned_heap)},
                      {"recall_on", s_on.recall()},
                      {"identical", identical ? 1.0 : 0.0}});
     }
@@ -271,13 +240,6 @@ main(int argc, char **argv)
     std::printf("  %u workloads, all identical: %s\n", swept,
                 ok ? "yes" : "NO");
 
-    if (!heap_floor_met) {
-        std::fprintf(stderr,
-                     "FAIL: heap-heavy subject %s did not prune strictly "
-                     "more events than its stack-only baseline\n",
-                     kHeapHeavy);
-        ok = false;
-    }
     std::printf("\n%s\n", ok ? "floors OK" : "FLOOR VIOLATION");
     return ok ? 0 : 1;
 }

@@ -157,24 +157,13 @@ printShadowStats(const core::OfflineResult &result)
                         pf.pruned_stack_direct));
         if (pf.pointsto_objects) {
             std::printf("points-to: %llu objects, %llu constraints, "
-                        "%llu solver iterations; %llu heap-local sites"
-                        "\n",
+                        "%llu solver iterations\n",
                         static_cast<unsigned long long>(
                             pf.pointsto_objects),
                         static_cast<unsigned long long>(
                             pf.pointsto_constraints),
                         static_cast<unsigned long long>(
-                            pf.pointsto_iterations),
-                        static_cast<unsigned long long>(
-                            pf.sites_heap_local));
-            std::printf("heap pruning: %llu events in %llu private "
-                        "[malloc,free) intervals (%llu intervals "
-                        "defeated by a cross-thread access)\n",
-                        static_cast<unsigned long long>(pf.pruned_heap),
-                        static_cast<unsigned long long>(
-                            pf.heap_intervals),
-                        static_cast<unsigned long long>(
-                            pf.heap_defeated));
+                            pf.pointsto_iterations));
         } else {
             std::printf("points-to: off\n");
         }
@@ -278,9 +267,8 @@ usage()
                  "in the detector feed (the race report is identical; "
                  "detection just costs more)\n"
                  "--no-pointsto disables the Andersen points-to layer "
-                 "(heap-locality pruning, indirect-branch sharpening, "
-                 "replay constant recovery; the race report is identical "
-                 "either way)\n"
+                 "(indirect-branch sharpening, replay constant recovery; "
+                 "the race report is identical either way)\n"
                  "--no-run-summary dispatches every iteration of a "
                  "compressed run block through the detector instead of "
                  "folding proven-absorbed repeats (the race report is "
@@ -624,15 +612,13 @@ cmdStaticReport(const Args &args)
         s.no_stack_escape ? "true" : "false",
         s.rsp_integrity && s.no_stack_escape ? "true" : "false");
 
-    // Merged classification: escape's, upgraded to kHeapLocal where
-    // the points-to layer confined a site to private heap objects.
-    uint64_t by_class[5] = {0, 0, 0, 0, 0};
+    uint64_t by_class[4] = {0, 0, 0, 0};
     for (uint32_t i = 0; i < s.insns; ++i)
-        ++by_class[static_cast<unsigned>(pa.siteClass(i))];
+        ++by_class[static_cast<unsigned>(pa.escape().site(i))];
     std::printf(
         "{\"type\":\"sites\",\"workload\":\"%s\",\"no_access\":%llu,"
         "\"stack_implicit\":%llu,\"stack_direct\":%llu,"
-        "\"may_shared\":%llu,\"heap_local\":%llu}\n",
+        "\"may_shared\":%llu}\n",
         args.workload.c_str(),
         static_cast<unsigned long long>(by_class[static_cast<unsigned>(
             analysis::SiteClass::kNoAccess)]),
@@ -641,9 +627,7 @@ cmdStaticReport(const Args &args)
         static_cast<unsigned long long>(by_class[static_cast<unsigned>(
             analysis::SiteClass::kStackDirect)]),
         static_cast<unsigned long long>(by_class[static_cast<unsigned>(
-            analysis::SiteClass::kMayShared)]),
-        static_cast<unsigned long long>(by_class[static_cast<unsigned>(
-            analysis::SiteClass::kHeapLocal)]));
+            analysis::SiteClass::kMayShared)]));
 
     if (s.pointsto_enabled) {
         const analysis::PointsToStats &pt = s.pointsto;
@@ -651,20 +635,16 @@ cmdStaticReport(const Args &args)
             "{\"type\":\"pointsto\",\"workload\":\"%s\",\"objects\":%llu,"
             "\"alloc_sites\":%llu,\"constraints\":%llu,"
             "\"iterations\":%llu,\"cycles_collapsed\":%llu,"
-            "\"thread_local_allocs\":%llu,\"heap_local_sites\":%llu,"
             "\"immutable_globals\":%llu,\"indirect_sites\":%llu,"
             "\"resolved_indirect_sites\":%llu,\"fanout_blunt\":%llu,"
             "\"fanout_sharp\":%llu,\"sharp_edges\":%llu,"
-            "\"sharp_reachable\":%llu,\"no_heap_forgery\":%s,"
-            "\"top_store\":%s,\"heap_sound\":%s}\n",
+            "\"sharp_reachable\":%llu,\"top_store\":%s}\n",
             args.workload.c_str(),
             static_cast<unsigned long long>(pt.objects),
             static_cast<unsigned long long>(pt.alloc_sites),
             static_cast<unsigned long long>(pt.constraints),
             static_cast<unsigned long long>(pt.iterations),
             static_cast<unsigned long long>(pt.cycles_collapsed),
-            static_cast<unsigned long long>(pt.thread_local_allocs),
-            static_cast<unsigned long long>(pt.heap_local_sites),
             static_cast<unsigned long long>(pt.immutable_globals),
             static_cast<unsigned long long>(pt.indirect_sites),
             static_cast<unsigned long long>(pt.resolved_indirect_sites),
@@ -672,9 +652,7 @@ cmdStaticReport(const Args &args)
             static_cast<unsigned long long>(pt.fanout_sharp),
             static_cast<unsigned long long>(s.sharp_edges),
             static_cast<unsigned long long>(s.sharp_reachable),
-            pt.no_heap_forgery ? "true" : "false",
-            pt.top_store ? "true" : "false",
-            pt.heap_sound ? "true" : "false");
+            pt.top_store ? "true" : "false");
     }
 
     // Human digest on stderr so stdout stays machine-parseable.
@@ -701,16 +679,10 @@ cmdStaticReport(const Args &args)
         const analysis::PointsToStats &pt = s.pointsto;
         std::fprintf(stderr,
                      "  points-to: %llu objects, %llu constraints; "
-                     "%llu/%llu allocs thread-local, %llu heap-local "
-                     "sites, %llu immutable globals, %llu/%llu indirect "
-                     "sites resolved (fan-out %llu -> %llu), heap "
-                     "soundness %s, top store %s\n",
+                     "%llu immutable globals, %llu/%llu indirect sites "
+                     "resolved (fan-out %llu -> %llu), top store %s\n",
                      static_cast<unsigned long long>(pt.objects),
                      static_cast<unsigned long long>(pt.constraints),
-                     static_cast<unsigned long long>(
-                         pt.thread_local_allocs),
-                     static_cast<unsigned long long>(pt.alloc_sites),
-                     static_cast<unsigned long long>(pt.heap_local_sites),
                      static_cast<unsigned long long>(
                          pt.immutable_globals),
                      static_cast<unsigned long long>(
@@ -718,7 +690,6 @@ cmdStaticReport(const Args &args)
                      static_cast<unsigned long long>(pt.indirect_sites),
                      static_cast<unsigned long long>(pt.fanout_blunt),
                      static_cast<unsigned long long>(pt.fanout_sharp),
-                     pt.heap_sound ? "held" : "degraded",
                      pt.top_store ? "seen" : "none");
     }
     return 0;
@@ -750,9 +721,8 @@ printTenantRow(const std::string &name,
     if (ts.prefilter.enabled) {
         std::fprintf(stderr,
                      "  %-12s prefilter: %llu/%llu events pruned "
-                     "(%llu implicit stack, %llu direct stack, %llu "
-                     "heap-local in %llu intervals), points-to "
-                     "%llu objects / %llu constraints\n",
+                     "(%llu implicit stack, %llu direct stack), "
+                     "points-to %llu objects / %llu constraints\n",
                      "",
                      static_cast<unsigned long long>(
                          ts.prefilter.pruned()),
@@ -762,10 +732,6 @@ printTenantRow(const std::string &name,
                          ts.prefilter.pruned_stack_implicit),
                      static_cast<unsigned long long>(
                          ts.prefilter.pruned_stack_direct),
-                     static_cast<unsigned long long>(
-                         ts.prefilter.pruned_heap),
-                     static_cast<unsigned long long>(
-                         ts.prefilter.heap_intervals),
                      static_cast<unsigned long long>(
                          ts.prefilter.pointsto_objects),
                      static_cast<unsigned long long>(
@@ -794,24 +760,24 @@ printTenantRow(const std::string &name,
     // Salvage/loss accounting: what this tenant's streams lost to
     // damage. Only printed when there was any, so clean runs stay
     // clean.
-    if (ts.segments_dropped || ts.bytes_skipped || ts.pebs_dropped ||
-        ts.sync_dropped || ts.pt_streams_dropped ||
-        ts.pt_streams_damaged || ts.truncated_streams) {
+    const trace::SegmentLoss &loss = ts.loss;
+    if (loss.hasLoss()) {
         std::fprintf(stderr,
                      "  %-12s loss: %llu/%llu segments dropped, %llu "
                      "bytes skipped, %llu samples, %llu sync events "
                      "lost, %llu PT streams lost, %llu damaged, %llu "
                      "truncated streams\n",
                      "",
-                     static_cast<unsigned long long>(ts.segments_dropped),
-                     static_cast<unsigned long long>(ts.segments_seen),
-                     static_cast<unsigned long long>(ts.bytes_skipped),
-                     static_cast<unsigned long long>(ts.pebs_dropped),
-                     static_cast<unsigned long long>(ts.sync_dropped),
                      static_cast<unsigned long long>(
-                         ts.pt_streams_dropped),
+                         loss.segments_dropped),
+                     static_cast<unsigned long long>(loss.segments_seen),
+                     static_cast<unsigned long long>(loss.bytes_skipped),
+                     static_cast<unsigned long long>(loss.pebs_dropped),
+                     static_cast<unsigned long long>(loss.sync_dropped),
                      static_cast<unsigned long long>(
-                         ts.pt_streams_damaged),
+                         loss.pt_streams_dropped),
+                     static_cast<unsigned long long>(
+                         loss.pt_streams_damaged),
                      static_cast<unsigned long long>(
                          ts.truncated_streams));
     }

@@ -25,8 +25,6 @@ ProgramAnalysis::ProgramAnalysis(const asmkit::Program &program,
         return;
     pointsto_ =
         std::make_unique<PointsTo>(cfg_, dataflow_, escape_, facts_);
-    heap_escape_ =
-        std::make_unique<HeapEscapeAnalysis>(escape_, *pointsto_);
     if (!pointsto_->indirectTargets().empty()) {
         sharp_cfg_ = std::make_unique<Cfg>(program,
                                            pointsto_->indirectTargets());
@@ -55,7 +53,6 @@ ProgramAnalysis::summary() const
     if (pointsto_) {
         s.pointsto_enabled = true;
         s.pointsto = pointsto_->stats();
-        s.heap_local_sites = heap_escape_->numHeapLocal();
     }
     const Cfg &sharp = sharpCfg();
     s.sharp_edges = sharp.numEdges();

@@ -30,7 +30,6 @@ struct StaticSummary {
     uint32_t address_taken = 0;
     uint32_t mem_sites = 0;          ///< instructions with memory events
     uint32_t thread_local_sites = 0; ///< provably private subset
-    uint32_t heap_local_sites = 0;   ///< confined to private heap objects
     uint32_t invertible_insns = 0;   ///< some operand reverse-executable
     uint32_t learn_insns = 0;        ///< teach an unwritten register
     bool rsp_integrity = false;
@@ -57,11 +56,11 @@ class ProgramAnalysis
 {
   public:
     /**
-     * @p enable_pointsto gates the Andersen layer (and everything built
-     * on it: heap locality, CFG sharpening, constant recovery). The
-     * blunt cfg/dataflow/escape trio is identical either way, so every
-     * report-affecting result is too — the flag only removes an extra
-     * pruning/recovery opportunity (--no-pointsto).
+     * @p enable_pointsto gates the Andersen layer (and both consumers
+     * built on it: CFG sharpening and constant recovery). The blunt
+     * cfg/dataflow/escape trio is identical either way, so every
+     * report-affecting result is too — the flag only removes the
+     * sharper CFG and the extra recovered loads (--no-pointsto).
      */
     explicit ProgramAnalysis(const asmkit::Program &program,
                              bool enable_pointsto = true);
@@ -74,12 +73,6 @@ class ProgramAnalysis
     /** Points-to layer, or nullptr when disabled. */
     const PointsTo *pointsTo() const { return pointsto_.get(); }
 
-    /** Merged heap/stack site classification, or nullptr when disabled. */
-    const HeapEscapeAnalysis *heapEscape() const
-    {
-        return heap_escape_.get();
-    }
-
     /**
      * The CFG with indirect fan-outs narrowed to resolved points-to
      * target sets; the blunt cfg() when the layer is disabled or
@@ -88,17 +81,6 @@ class ProgramAnalysis
     const Cfg &sharpCfg() const
     {
         return sharp_cfg_ ? *sharp_cfg_ : cfg_;
-    }
-
-    /**
-     * Merged site classification: escape's, with may-shared sites
-     * confined to thread-local heap objects upgraded to kHeapLocal.
-     */
-    SiteClass
-    siteClass(uint32_t index) const
-    {
-        return heap_escape_ ? heap_escape_->site(index)
-                            : escape_.site(index);
     }
 
     /** Precomputed per-instruction facts (indexed by instruction). */
@@ -128,7 +110,6 @@ class ProgramAnalysis
     Dataflow dataflow_;
     EscapeAnalysis escape_;
     std::unique_ptr<PointsTo> pointsto_;
-    std::unique_ptr<HeapEscapeAnalysis> heap_escape_;
     std::unique_ptr<Cfg> sharp_cfg_;
 };
 

@@ -103,7 +103,6 @@ siteClassName(SiteClass c)
       case SiteClass::kStackImplicit: return "stack-implicit";
       case SiteClass::kStackDirect:   return "stack-direct";
       case SiteClass::kMayShared:     return "may-shared";
-      case SiteClass::kHeapLocal:     return "heap-local";
     }
     return "?";
 }

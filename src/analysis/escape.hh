@@ -64,12 +64,6 @@ enum class SiteClass : uint8_t {
     kStackImplicit,     ///< push/pop/call/ret through rsp
     kStackDirect,       ///< load/store with a must-stack base
     kMayShared,         ///< everything else
-    /**
-     * Access confined to heap objects whose allocation site never
-     * escapes its allocating thread. Assigned only by
-     * HeapEscapeAnalysis (points-to layer), never by EscapeAnalysis.
-     */
-    kHeapLocal,
 };
 
 /** Printable site-class name. */

@@ -857,80 +857,6 @@ PointsTo::classify()
     stats_.cycles_collapsed = s.cyclesCollapsed();
     stats_.top_store = s.topStoreSeen();
 
-    // A forged heap pointer costs nothing until some access may
-    // actually dereference it — only then could an allocation be
-    // reached without its address ever flowing there.
-    for (uint32_t i = 0; i < p.size(); ++i) {
-        if (site_addr_[i] != kInvalidNode &&
-            s.pointsTo(site_addr_[i]).test(kObjHeapForge))
-            stats_.no_heap_forgery = false;
-    }
-    for (const uint32_t n : extra_written_) {
-        if (s.pointsTo(n).test(kObjHeapForge))
-            stats_.no_heap_forgery = false;
-    }
-    stats_.heap_sound = escape_->sound() && stats_.no_heap_forgery;
-
-    // --- escaped-object closure -------------------------------------
-    // Roots: objects any thread can address without help — globals
-    // (named or slop) and the unknowns. The collective stack is NOT a
-    // root: under escape soundness no thread reads another's stack.
-    std::vector<uint8_t> escaped(objects_.size(), 0);
-    std::vector<uint32_t> work;
-    auto mark = [&](uint32_t o) {
-        if (!escaped[o]) {
-            escaped[o] = 1;
-            work.push_back(o);
-        }
-    };
-    mark(AndersenSolver::kObjTop);
-    mark(AndersenSolver::kObjTopCode);
-    mark(kObjGlobalSlop);
-    for (const auto &[base, obj] : global_obj_)
-        mark(obj);
-    while (!work.empty()) {
-        const uint32_t o = work.back();
-        work.pop_back();
-        for (const uint32_t held :
-             s.pointsTo(solver_->contents(o)).toVector())
-            mark(held);
-    }
-
-    for (const auto &[insn, obj] : alloc_obj_) {
-        const bool local = stats_.heap_sound && !escaped[obj];
-        alloc_site_local_[insn] = local;
-        if (local) {
-            thread_local_allocs_.push_back(insn);
-            ++stats_.thread_local_allocs;
-        }
-    }
-    std::sort(thread_local_allocs_.begin(), thread_local_allocs_.end());
-
-    // --- heap-local access sites ------------------------------------
-    site_heap_local_.assign(p.size(), 0);
-    for (uint32_t i = 0; i < p.size(); ++i) {
-        if ((*facts_)[i].mem_ops == 0 ||
-            escape_->site(i) != SiteClass::kMayShared ||
-            site_addr_[i] == kInvalidNode) {
-            continue;
-        }
-        const ObjSet &pts = s.pointsTo(site_addr_[i]);
-        if (pts.empty())
-            continue;
-        bool all_local = true;
-        for (const uint32_t o : pts.toVector()) {
-            if (objects_[o].kind != AbstractObject::Kind::kAlloc ||
-                !alloc_site_local_.at(objects_[o].insn)) {
-                all_local = false;
-                break;
-            }
-        }
-        if (all_local) {
-            site_heap_local_[i] = 1;
-            ++stats_.heap_local_sites;
-        }
-    }
-
     // --- immutable globals ------------------------------------------
     if (!s.topStoreSeen()) {
         ObjSet written(static_cast<uint32_t>(objects_.size()));
@@ -1031,23 +957,6 @@ PointsTo::siteObjects(uint32_t insn) const
     if (insn >= site_addr_.size() || site_addr_[insn] == kInvalidNode)
         return {};
     return solver_->pointsTo(site_addr_[insn]).toVector();
-}
-
-// ---------------------------------------------------------------------
-// HeapEscapeAnalysis
-// ---------------------------------------------------------------------
-
-HeapEscapeAnalysis::HeapEscapeAnalysis(const EscapeAnalysis &escape,
-                                       const PointsTo &pointsto)
-    : sites_(escape.sites())
-{
-    for (uint32_t i = 0; i < sites_.size(); ++i) {
-        if (sites_[i] == SiteClass::kMayShared &&
-            pointsto.siteHeapLocal(i)) {
-            sites_[i] = SiteClass::kHeapLocal;
-            ++num_heap_local_;
-        }
-    }
 }
 
 } // namespace prorace::analysis

@@ -15,10 +15,9 @@
  * program-level object, the *forged-heap* object, types immediates in
  * the heap address range: its contents alias the contents of every
  * allocation site (a forged heap pointer could name any of them), but
- * it stays distinct from ⊤ so an undereferenced heap-range constant —
- * e.g. a PRNG seed that merely looks like a heap address — costs
- * nothing. Only a load/store whose address set actually contains the
- * forged-heap object voids heap soundness (`no_heap_forgery`).
+ * it stays distinct from ⊤ so a store through a heap-range constant —
+ * e.g. a PRNG seed that merely looks like a heap address — is not a
+ * top store and voids neither consumer.
  *
  * Constraints are generated from the PR 5 reaching-definitions facts:
  * each register read at a block entry is wired to the unique reaching
@@ -43,22 +42,15 @@
  * nodes with equal non-empty solutions, the solver looks for the cycle
  * and collapses it with union-find, keeping the fixpoint near-linear.
  *
- * Three consumers, each self-degrading when preconditions fail:
- *  - HeapEscapeAnalysis / interval pruning: allocation sites whose
- *    objects are never reachable from globals, spawn arguments, or
- *    ⊤-stored values are thread-local. Requires EscapeAnalysis
- *    soundness and that no forged-heap pointer is ever dereferenced.
- *    Top stores do NOT void this: once any store's target may be
- *    ⊤/⊤code, every stored value conservatively escapes.
+ * Two consumers, each voided entirely by any top store (a smeared
+ * store could plant a code pointer or overwrite a global that the
+ * per-object contents miss):
  *  - CFG sharpening: the resolved target set of each indirect
  *    jump/call (code objects in the target register's solution, when
- *    ⊤/⊤code-free) replaces the global address-taken fan-out. Voided
- *    entirely by any top store (a smeared store could plant a code
- *    pointer the per-object contents miss).
+ *    ⊤/⊤code-free) replaces the global address-taken fan-out.
  *  - Replay constant recovery: globals no store may reach are
  *    immutable, so their initial bytes are their bytes forever and
- *    reverse execution can recover loads from them. Voided by any top
- *    store.
+ *    reverse execution can recover loads from them.
  *
  * See DESIGN.md §17 for the full model and the soundness argument.
  */
@@ -317,21 +309,17 @@ struct PointsToStats {
     uint64_t constraints = 0;
     uint64_t iterations = 0;
     uint32_t cycles_collapsed = 0;
-    uint32_t thread_local_allocs = 0;
-    uint32_t heap_local_sites = 0;
     uint32_t immutable_globals = 0;
     uint32_t indirect_sites = 0;
     uint32_t resolved_indirect_sites = 0;
     uint64_t fanout_blunt = 0;  ///< Σ address-taken per indirect site
     uint64_t fanout_sharp = 0;  ///< Σ resolved targets per site
-    bool no_heap_forgery = true; ///< no forged-heap ptr dereferenced
     bool top_store = false;  ///< some store's address may be ⊤/⊤code
-    bool heap_sound = false; ///< escape sound ∧ no_heap_forgery
 };
 
 /**
  * Program-facing points-to results: constraint generation from the
- * CFG/dataflow/escape trio, plus the three consumer views.
+ * CFG/dataflow/escape trio, plus the two consumer views.
  * Immutable after construction.
  */
 class PointsTo
@@ -340,30 +328,6 @@ class PointsTo
     PointsTo(const Cfg &cfg, const Dataflow &dataflow,
              const EscapeAnalysis &escape,
              const std::vector<InsnFacts> &facts);
-
-    /** No access site may dereference a forged heap pointer. */
-    bool noHeapForgery() const { return stats_.no_heap_forgery; }
-
-    /** True when heap thread-locality conclusions are trustworthy. */
-    bool heapSound() const { return stats_.heap_sound; }
-
-    /**
-     * True when the kMalloc at @p insn allocates objects only ever
-     * reachable from the allocating thread (false when !heapSound()).
-     */
-    bool
-    allocSiteThreadLocal(uint32_t insn) const
-    {
-        const auto it = alloc_site_local_.find(insn);
-        return it != alloc_site_local_.end() && it->second;
-    }
-
-    /** All kMalloc sites proved thread-local (sorted). */
-    const std::vector<uint32_t> &
-    threadLocalAllocSites() const
-    {
-        return thread_local_allocs_;
-    }
 
     /**
      * Resolved target sets for indirect transfers: insn index of the
@@ -388,18 +352,6 @@ class PointsTo
 
     /** Initial bytes at @p addr, zero-extended to @p width. */
     uint64_t constantAt(uint64_t addr, uint8_t width) const;
-
-    /**
-     * True when every access at @p insn lands in a thread-local heap
-     * object (the site's address set is non-empty and contains only
-     * thread-local allocation objects).
-     */
-    bool
-    siteHeapLocal(uint32_t insn) const
-    {
-        return insn < site_heap_local_.size() &&
-            site_heap_local_[insn] != 0;
-    }
 
     const PointsToStats &stats() const { return stats_; }
     const std::vector<AbstractObject> &objects() const
@@ -437,37 +389,12 @@ class PointsTo
     std::vector<std::array<uint32_t, isa::kNumGprs>> block_out_;
     std::vector<uint32_t> site_addr_;   ///< per-insn address node or ~0
     std::vector<uint8_t> site_writes_;  ///< insn may write its target
-    std::vector<uint8_t> site_heap_local_;
     std::map<uint32_t, uint32_t> indirect_reg_; ///< insn → target node
     std::vector<uint32_t> extra_written_; ///< nodes whose pointees are
                                           ///< written outside a store
-    std::map<uint32_t, bool> alloc_site_local_;
-    std::vector<uint32_t> thread_local_allocs_;
     std::map<uint32_t, std::vector<uint32_t>> indirect_targets_;
     std::vector<std::pair<uint64_t, uint64_t>> immutable_ranges_;
     PointsToStats stats_;
-};
-
-/**
- * The heap analogue of EscapeAnalysis, layered on it: the merged
- * per-site classification where may-shared sites whose addresses are
- * confined to thread-local heap objects become kHeapLocal.
- */
-class HeapEscapeAnalysis
-{
-  public:
-    HeapEscapeAnalysis(const EscapeAnalysis &escape,
-                       const PointsTo &pointsto);
-
-    /** Merged classification (escape's, upgraded to kHeapLocal). */
-    SiteClass site(uint32_t index) const { return sites_[index]; }
-    const std::vector<SiteClass> &sites() const { return sites_; }
-
-    uint32_t numHeapLocal() const { return num_heap_local_; }
-
-  private:
-    std::vector<SiteClass> sites_;
-    uint32_t num_heap_local_ = 0;
 };
 
 } // namespace prorace::analysis

@@ -12,6 +12,10 @@ namespace prorace::core {
 using detect::AccessOrigin;
 using vm::SyncKind;
 
+// The trace reader drops every tid the detector's epochs cannot pack.
+static_assert(trace::kMaxTraceThreads == detect::Epoch::kMaxThreads,
+              "trace tid bound must match the FastTrack epoch tid field");
+
 namespace {
 
 /** One entry of the merged detector feed. */
@@ -365,165 +369,11 @@ detectRacesIncremental(
     }
 }
 
-namespace {
-
-/** One dynamic allocation lifetime of a thread-local malloc site. */
-struct HeapInterval {
-    uint64_t base = 0;
-    uint64_t size = 0;
-    uint64_t start_tsc = 0;
-    uint64_t end_tsc = UINT64_MAX; ///< never freed when left at max
-    uint32_t owner = 0;            ///< allocating thread
-    bool defeated = false;         ///< some other thread touched it
-};
-
-/**
- * Heap-locality pruning pass. The static claim (kHeapLocal site, alloc
- * site thread-local) selects candidates; the dynamic checks make the
- * removal report-preserving on their own:
- *  - only accesses by the allocating thread, strictly inside the
- *    block's [malloc, free) TSC window and byte range, are removed
- *    (FastTrack never reports same-thread races);
- *  - the detector erases the block's shadow granules at allocate() and
- *    deallocate(), so in-interval events cannot interact with events
- *    outside the interval;
- *  - any access by another thread that overlaps the block's shadow
- *    granules (8-byte expanded) during the interval — inclusive TSC
- *    bounds, so same-timestamp tie-break ambiguity stays conservative —
- *    defeats the whole interval and nothing in it is pruned.
- */
-void
-pruneHeapLocal(std::vector<replay::ReconstructedAccess> &accesses,
-               const analysis::ProgramAnalysis &analysis,
-               const trace::RunTrace &run, PrefilterStats &stats)
-{
-    const analysis::PointsTo *pt = analysis.pointsTo();
-    if (!pt || !pt->heapSound() ||
-        pt->threadLocalAllocSites().empty()) {
-        return;
-    }
-
-    // Rebuild allocation lifetimes from the sync trace in detector feed
-    // order (TSC, then tid, then record order — malloc/free share the
-    // access subrank).
-    std::vector<size_t> heap_recs;
-    for (size_t i = 0; i < run.sync.size(); ++i) {
-        const vm::SyncKind k = run.sync[i].kind;
-        if (k == SyncKind::kMalloc || k == SyncKind::kFree)
-            heap_recs.push_back(i);
-    }
-    if (heap_recs.empty())
-        return;
-    std::stable_sort(heap_recs.begin(), heap_recs.end(),
-                     [&](size_t a, size_t b) {
-                         const trace::SyncRecord &ra = run.sync[a];
-                         const trace::SyncRecord &rb = run.sync[b];
-                         if (ra.tsc != rb.tsc)
-                             return ra.tsc < rb.tsc;
-                         if (ra.tid != rb.tid)
-                             return ra.tid < rb.tid;
-                         return a < b;
-                     });
-
-    std::vector<HeapInterval> intervals;
-    std::unordered_map<uint64_t, size_t> open; ///< base → interval index
-    for (const size_t i : heap_recs) {
-        const trace::SyncRecord &s = run.sync[i];
-        if (s.kind == SyncKind::kMalloc) {
-            if (!pt->allocSiteThreadLocal(s.insn_index))
-                continue;
-            if (auto it = open.find(s.object); it != open.end()) {
-                // Re-allocation of a still-open block: the trace is
-                // inconsistent here, trust neither lifetime.
-                intervals[it->second].defeated = true;
-                intervals[it->second].end_tsc = s.tsc;
-            }
-            HeapInterval iv;
-            iv.base = s.object;
-            iv.size = s.aux;
-            iv.start_tsc = s.tsc;
-            iv.owner = s.tid;
-            open[s.object] = intervals.size();
-            intervals.push_back(iv);
-        } else if (auto it = open.find(s.object); it != open.end()) {
-            intervals[it->second].end_tsc = s.tsc;
-            open.erase(it);
-        }
-    }
-    if (intervals.empty())
-        return;
-    stats.heap_intervals += intervals.size();
-
-    // Granule-level index: shadow granule base → intervals whose
-    // 8-byte-expanded footprint covers it (lifetimes of a reused
-    // address overlap in space, never in time).
-    std::unordered_map<uint64_t, std::vector<uint32_t>> by_granule;
-    for (uint32_t idx = 0; idx < intervals.size(); ++idx) {
-        const HeapInterval &iv = intervals[idx];
-        if (iv.size == 0)
-            continue;
-        const uint64_t gfirst = iv.base & ~7ull;
-        const uint64_t glast = (iv.base + iv.size - 1) & ~7ull;
-        for (uint64_t g = gfirst; g <= glast; g += 8)
-            by_granule[g].push_back(idx);
-    }
-    auto forEachInterval = [&](const replay::ReconstructedAccess &a,
-                               auto &&fn) {
-        if (a.width == 0)
-            return;
-        const uint64_t gfirst = a.addr & ~7ull;
-        const uint64_t glast = (a.addr + a.width - 1) & ~7ull;
-        for (uint64_t g = gfirst; g <= glast; g += 8) {
-            const auto it = by_granule.find(g);
-            if (it == by_granule.end())
-                continue;
-            for (const uint32_t idx : it->second)
-                fn(intervals[idx]);
-        }
-    };
-
-    // Defeat scan over the surviving feed (what the detector will see).
-    for (const replay::ReconstructedAccess &a : accesses) {
-        forEachInterval(a, [&](HeapInterval &iv) {
-            if (a.tid != iv.owner && a.tsc >= iv.start_tsc &&
-                a.tsc <= iv.end_tsc) {
-                iv.defeated = true;
-            }
-        });
-    }
-    for (const HeapInterval &iv : intervals)
-        stats.heap_defeated += iv.defeated ? 1 : 0;
-
-    auto keep = std::remove_if(
-        accesses.begin(), accesses.end(),
-        [&](const replay::ReconstructedAccess &a) {
-            if (analysis.siteClass(a.insn_index) !=
-                analysis::SiteClass::kHeapLocal) {
-                return false;
-            }
-            bool prune = false;
-            forEachInterval(a, [&](const HeapInterval &iv) {
-                if (!iv.defeated && a.tid == iv.owner &&
-                    a.tsc > iv.start_tsc && a.tsc < iv.end_tsc &&
-                    a.addr >= iv.base &&
-                    a.addr + a.width <= iv.base + iv.size) {
-                    prune = true;
-                }
-            });
-            if (prune)
-                ++stats.pruned_heap;
-            return prune;
-        });
-    accesses.erase(keep, accesses.end());
-}
-
-} // namespace
-
 void
 applyStaticPrefilter(std::vector<replay::ReconstructedAccess> &accesses,
                      const analysis::ProgramAnalysis *analysis,
                      bool enabled, PrefilterStats &stats,
-                     const trace::RunTrace *run)
+                     const trace::RunTrace *)
 {
     stats.events_seen += accesses.size();
     if (analysis) {
@@ -531,8 +381,6 @@ applyStaticPrefilter(std::vector<replay::ReconstructedAccess> &accesses,
         stats.analysis_sound = sum.rsp_integrity && sum.no_stack_escape;
         stats.sites_total = sum.mem_sites;
         stats.sites_thread_local = sum.thread_local_sites;
-        stats.sites_heap_local = sum.heap_local_sites;
-        stats.heap_sound = sum.pointsto.heap_sound;
         stats.pointsto_objects = sum.pointsto.objects;
         stats.pointsto_constraints = sum.pointsto.constraints;
         stats.pointsto_iterations = sum.pointsto.iterations;
@@ -558,8 +406,6 @@ applyStaticPrefilter(std::vector<replay::ReconstructedAccess> &accesses,
             return true;
         });
     accesses.erase(keep, accesses.end());
-    if (run)
-        pruneHeapLocal(accesses, *analysis, *run, stats);
 }
 
 std::vector<std::pair<uint64_t, uint64_t>>
@@ -677,7 +523,7 @@ OfflineAnalyzer::analyzeWith(const trace::RunTrace &run,
         // --- detection (prefilter cost counts as detection cost) ---
         detail::applyStaticPrefilter(accesses, analysis_.get(),
                                      options.static_prefilter,
-                                     result.prefilter, &run);
+                                     result.prefilter);
         if (options.incremental.enabled) {
             detect::IncrementalFastTrack detector(options.incremental);
             // GC is gated until every thread of the run has appeared in

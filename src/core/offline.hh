@@ -100,10 +100,10 @@ struct OfflineOptions {
      */
     bool static_prefilter = true;
     /**
-     * Run the Andersen points-to layer (heap-locality pruning, CFG
-     * sharpening, replay constant recovery). The blunt analyses and the
+     * Run the Andersen points-to layer (CFG sharpening, replay
+     * constant recovery). The blunt analyses, the prefilter and the
      * race report are byte-identical with the layer on or off; only
-     * pruning/recovery opportunity changes. `--no-pointsto` in the CLI
+     * the loads replay recovers change. `--no-pointsto` in the CLI
      * maps here.
      */
     bool pointsto = true;
@@ -138,16 +138,11 @@ struct OfflineOptions {
 struct PrefilterStats {
     bool enabled = false;        ///< option on and analysis available
     bool analysis_sound = false; ///< escape-analysis invariants held
-    bool heap_sound = false;     ///< points-to heap locality trustworthy
     uint64_t sites_total = 0;        ///< static memory-access sites
     uint64_t sites_thread_local = 0; ///< sites proved thread-local
-    uint64_t sites_heap_local = 0;   ///< sites confined to private heap
     uint64_t events_seen = 0;   ///< extended-trace events inspected
     uint64_t pruned_stack_implicit = 0; ///< push/pop/call/ret events
     uint64_t pruned_stack_direct = 0;   ///< rsp/rbp-relative accesses
-    uint64_t pruned_heap = 0;           ///< heap-local interval events
-    uint64_t heap_intervals = 0; ///< dynamic [malloc,free) intervals seen
-    uint64_t heap_defeated = 0;  ///< intervals a cross-thread access hit
     // Points-to solver size (per-program facts; max-merged).
     uint64_t pointsto_objects = 0;
     uint64_t pointsto_constraints = 0;
@@ -156,7 +151,7 @@ struct PrefilterStats {
     uint64_t
     pruned() const
     {
-        return pruned_stack_implicit + pruned_stack_direct + pruned_heap;
+        return pruned_stack_implicit + pruned_stack_direct;
     }
 
     /** Rollup across analyzer instances (service-wide --stats). */
@@ -165,7 +160,6 @@ struct PrefilterStats {
     {
         enabled = enabled || other.enabled;
         analysis_sound = analysis_sound || other.analysis_sound;
-        heap_sound = heap_sound || other.heap_sound;
         // Site counts are per-program facts, identical across instances
         // analyzing the same binary: keep the larger, don't sum.
         const auto keep_max = [](uint64_t &a, uint64_t b) {
@@ -173,16 +167,12 @@ struct PrefilterStats {
         };
         keep_max(sites_total, other.sites_total);
         keep_max(sites_thread_local, other.sites_thread_local);
-        keep_max(sites_heap_local, other.sites_heap_local);
         keep_max(pointsto_objects, other.pointsto_objects);
         keep_max(pointsto_constraints, other.pointsto_constraints);
         keep_max(pointsto_iterations, other.pointsto_iterations);
         events_seen += other.events_seen;
         pruned_stack_implicit += other.pruned_stack_implicit;
         pruned_stack_direct += other.pruned_stack_direct;
-        pruned_heap += other.pruned_heap;
-        heap_intervals += other.heap_intervals;
-        heap_defeated += other.heap_defeated;
     }
 };
 
@@ -314,21 +304,13 @@ regenerationBlacklist(
  * extended-trace events at definitely-thread-local sites and accounts
  * for what was dropped. A no-op (beyond counting
  * events_seen) when @p enabled is false or @p analysis is null.
- *
- * With @p run supplied and the points-to layer available, also prunes
- * heap-local accesses: an access at a kHeapLocal site, made by the
- * thread that allocated the block, strictly inside the block's dynamic
- * [malloc, free) lifetime, where no *other* thread touched the block's
- * shadow granules during that lifetime. The cross-thread defeat scan
- * makes the pruning report-preserving independent of the static claim:
- * FastTrack never reports same-thread races, and allocate()/
- * deallocate() erase the granules at both interval ends, so the
- * removed events can neither produce nor mask any race.
  */
 void applyStaticPrefilter(
     std::vector<replay::ReconstructedAccess> &accesses,
     const analysis::ProgramAnalysis *analysis, bool enabled,
-    PrefilterStats &stats, const trace::RunTrace *run = nullptr);
+    PrefilterStats &stats,
+    // Unused; kept because perfbench/offline.cc still passes &run.
+    const trace::RunTrace * = nullptr);
 
 } // namespace detail
 

@@ -481,13 +481,7 @@ AnalysisService::completeSession(
     ts.incremental.merge(outcome.incremental);
     ts.prefilter.merge(outcome.prefilter);
     ts.replay.merge(outcome.replay);
-    ts.segments_dropped += outcome.loss.segments_dropped;
-    ts.sync_dropped += outcome.loss.sync_dropped;
-    ts.segments_seen += outcome.loss.segments_seen;
-    ts.bytes_skipped += outcome.loss.bytes_skipped;
-    ts.pebs_dropped += outcome.loss.pebs_dropped;
-    ts.pt_streams_dropped += outcome.loss.pt_streams_dropped;
-    ts.pt_streams_damaged += outcome.loss.pt_streams_damaged;
+    ts.loss.merge(outcome.loss);
     if (outcome.loss.truncated)
         ++ts.truncated_streams;
     ts.analysis_retries += outcome.attempts - 1;

@@ -180,16 +180,9 @@ struct TenantServiceStats {
     detect::IncrementalStats incremental;
     core::PrefilterStats prefilter;
     replay::ReplayStats replay;
-    uint64_t segments_dropped = 0;
-    uint64_t sync_dropped = 0;
-    // Full salvage/loss accounting (trace::SegmentLoss rollup): what
-    // each tenant's streams lost to damage, surfaced in --stats.
-    uint64_t segments_seen = 0;
-    uint64_t bytes_skipped = 0;
-    uint64_t pebs_dropped = 0;
-    uint64_t pt_streams_dropped = 0;
-    uint64_t pt_streams_damaged = 0;
-    uint64_t truncated_streams = 0;
+    /** What the tenant's streams lost to damage, surfaced in --stats. */
+    trace::SegmentLoss loss;
+    uint64_t truncated_streams = 0; ///< streams that ended early
     // Supervision counters.
     uint64_t sessions_quarantined = 0;
     uint64_t analysis_retries = 0;   ///< extra attempts beyond the first
@@ -211,13 +204,7 @@ struct TenantServiceStats {
         incremental.merge(other.incremental);
         prefilter.merge(other.prefilter);
         replay.merge(other.replay);
-        segments_dropped += other.segments_dropped;
-        sync_dropped += other.sync_dropped;
-        segments_seen += other.segments_seen;
-        bytes_skipped += other.bytes_skipped;
-        pebs_dropped += other.pebs_dropped;
-        pt_streams_dropped += other.pt_streams_dropped;
-        pt_streams_damaged += other.pt_streams_damaged;
+        loss.merge(other.loss);
         truncated_streams += other.truncated_streams;
         sessions_quarantined += other.sessions_quarantined;
         analysis_retries += other.analysis_retries;

@@ -20,6 +20,19 @@
 namespace prorace::trace {
 
 /**
+ * Exclusive bound on every thread id a trace may carry: meta thread
+ * table entries, PEBS and sync record tids, and the child tid of a
+ * spawn or join. It equals the detector's packed-epoch limit
+ * (detect::Epoch::kMaxThreads, tied by a static_assert in
+ * core/offline.cc), so the reader rejects or drops anything the
+ * detector could not index.
+ */
+inline constexpr uint32_t kMaxTraceThreads = 1024;
+
+/** Largest per-core PT stream count a trace meta may declare. */
+inline constexpr uint32_t kMaxTraceCores = 1024;
+
+/**
  * One PEBS sample: the sampled instruction, its data address, the TSC,
  * and the complete register file captured *before* the instruction
  * executes (the state the replayer restores).

@@ -70,6 +70,20 @@ struct SegmentLoss {
                truncated;
     }
 
+    /** Sum @p o into this rollup (truncated: either stream was). */
+    void
+    merge(const SegmentLoss &o)
+    {
+        segments_seen += o.segments_seen;
+        segments_dropped += o.segments_dropped;
+        bytes_skipped += o.bytes_skipped;
+        pebs_dropped += o.pebs_dropped;
+        sync_dropped += o.sync_dropped;
+        pt_streams_dropped += o.pt_streams_dropped;
+        pt_streams_damaged += o.pt_streams_damaged;
+        truncated = truncated || o.truncated;
+    }
+
     /** One-line summary for logs and CLI output. */
     std::string
     summary() const

@@ -542,6 +542,8 @@ decodePebsChunk(const uint8_t *data, size_t size,
         PebsRecord rec;
         rec.tid = static_cast<uint32_t>(
             applyDelta(p.prev_tid, col[kColTid].varint()));
+        if (rec.tid >= kMaxTraceThreads)
+            return false; // like a bad kind byte: drop via salvage
         PebsPredictor::PerTid &pt = p.per_tid[rec.tid];
         rec.core = static_cast<uint32_t>(
             applyDelta(p.prev_core, col[kColCore].varint()));
@@ -688,6 +690,8 @@ decodeSyncChunk(const uint8_t *data, size_t size,
         SyncRecord s;
         s.tid = static_cast<uint32_t>(
             applyDelta(p.prev_tid, col[kColSyncTid].varint()));
+        if (s.tid >= kMaxTraceThreads)
+            return false;
         SyncPredictor::PerTid &pt = p.per_tid[s.tid];
         const uint8_t kind_raw = col[kColSyncKind].u8();
         if (kind_raw > vm::kMaxSyncKind) {
@@ -699,6 +703,11 @@ decodeSyncChunk(const uint8_t *data, size_t size,
         s.kind = static_cast<vm::SyncKind>(kind_raw);
         s.object = applyDelta(pt.object, col[kColSyncObject].varint());
         s.aux = applyDelta(pt.aux, col[kColSyncAux].varint());
+        if ((s.kind == vm::SyncKind::kSpawn ||
+             s.kind == vm::SyncKind::kJoin) &&
+            s.aux >= kMaxTraceThreads) {
+            return false; // the child tid indexes detector state too
+        }
         s.tsc = applyDelta(p.prev_tsc, col[kColSyncTsc].varint());
         s.insn_index = static_cast<uint32_t>(
             applyDelta(pt.insn_index, col[kColSyncInsn].varint()));
@@ -780,7 +789,10 @@ serializeMeta(const RunTrace &trace, const CompressionStats &cs)
 
 /**
  * Parse a meta payload. Returns false (leaving the outputs partially
- * filled) when the payload is short or its counts point past its end.
+ * filled) when the payload is short, its counts point past its end, a
+ * thread tid reaches kMaxTraceThreads, or it declares more PT streams
+ * than cores or than kMaxTraceCores (the reader allocates one stream
+ * slot per declared stream).
  */
 bool
 parseMeta(const std::vector<uint8_t> &payload, TraceMeta &m,
@@ -811,11 +823,15 @@ parseMeta(const std::vector<uint8_t> &payload, TraceMeta &m,
         ThreadMeta t;
         t.tid = r.u32();
         t.entry_index = r.u32();
+        if (t.tid >= kMaxTraceThreads)
+            return false;
         m.threads.push_back(t);
     }
     expected_pebs = r.u64();
     expected_sync = r.u64();
     expected_pt = r.u32();
+    if (expected_pt > m.num_cores || expected_pt > kMaxTraceCores)
+        return false;
     m.compression.pebs_raw_bytes = r.u64();
     m.compression.pebs_encoded_bytes = r.u64();
     m.compression.sync_raw_bytes = r.u64();

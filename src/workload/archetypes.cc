@@ -369,8 +369,7 @@ makePtrDispatch(unsigned threads, uint32_t items, double scale)
     b.halt();
 
     // Worker: malloc a private buffer, fill it before any calls, then
-    // dispatch through the table. The buffer never escapes the thread,
-    // so every access to it is heap-local and prunable.
+    // dispatch through the table. The buffer never escapes the thread.
     b.beginFunction("worker");
     b.movrr(Reg::r14, Reg::rdi); // tid
     b.movri(Reg::rax, kBufElems * 8);

@@ -845,14 +845,13 @@ TEST(AndersenSolverTest, CycleCollapsePreservesSolutionAndFires)
 }
 
 // ---------------------------------------------------------------------
-// Program-level points-to: the three consumers and their gating.
+// Program-level points-to: the two consumers and their gating.
 // ---------------------------------------------------------------------
 
 TEST(PointsTo, PtrDispatchConsumersAllLive)
 {
-    // The heap-heavy dispatch workload exercises all three consumers:
-    // a thread-local allocation site, resolvable indirect calls, and
-    // immutable global tables.
+    // The dispatch workload exercises both consumers: resolvable
+    // indirect calls and immutable global tables.
     const auto w = workload::findWorkload("ptr-dispatch", 0.05);
     ASSERT_TRUE(w.has_value());
     const ProgramAnalysis pa(*w->program, true);
@@ -860,60 +859,25 @@ TEST(PointsTo, PtrDispatchConsumersAllLive)
     ASSERT_NE(pt, nullptr);
     const PointsToStats &st = pt->stats();
 
-    EXPECT_TRUE(pt->noHeapForgery());
     EXPECT_FALSE(st.top_store);
-    EXPECT_TRUE(pt->heapSound());
-    EXPECT_GE(st.thread_local_allocs, 1u);
-    EXPECT_GE(st.heap_local_sites, 1u);
-    EXPECT_FALSE(pt->threadLocalAllocSites().empty());
     EXPECT_GE(st.immutable_globals, 1u);
     EXPECT_TRUE(pt->anyImmutable());
     EXPECT_GT(st.indirect_sites, 0u);
     EXPECT_EQ(st.resolved_indirect_sites, st.indirect_sites);
     EXPECT_LT(st.fanout_sharp, st.fanout_blunt);
 
-    // The merged classification exposes heap-local sites, and the
-    // sharp CFG's indirect fan-out matches the resolved target sets.
-    uint32_t heap_local = 0;
-    for (uint32_t i = 0; i < w->program->size(); ++i)
-        heap_local += pa.siteClass(i) == SiteClass::kHeapLocal;
-    EXPECT_EQ(heap_local, st.heap_local_sites);
     EXPECT_FALSE(pt->indirectTargets().empty());
 }
 
-TEST(PointsTo, UndereferencedHeapLiteralKeepsHeapSoundness)
+TEST(PointsTo, HeapLiteralStoreIsNotTopStore)
 {
     // A PRNG-seed-style constant that merely lands in the heap address
-    // range must not void heap soundness: nothing dereferences it.
+    // range is typed as the forged-heap object, not ⊤: a store through
+    // it is no top store, so an untouched global stays immutable.
     ProgramBuilder b;
+    const uint64_t table_addr = b.globalU64("table", 123);
     b.beginFunction("main");
     b.movri(Reg::rax, static_cast<int64_t>(asmkit::kHeapBase + 0x100));
-    b.movri(Reg::rcx, 64);
-    b.mallocCall(Reg::rbx, Reg::rcx);
-    b.storei(MemOperand::baseDisp(Reg::rbx, 0), 7);
-    b.freeCall(Reg::rbx);
-    b.halt();
-    b.endFunction();
-    const Program program = b.build();
-
-    const ProgramAnalysis pa(program, true);
-    const PointsTo *pt = pa.pointsTo();
-    ASSERT_NE(pt, nullptr);
-    EXPECT_TRUE(pt->noHeapForgery());
-    EXPECT_TRUE(pt->heapSound());
-    EXPECT_EQ(pt->stats().thread_local_allocs, 1u);
-}
-
-TEST(PointsTo, DereferencedHeapLiteralVoidsHeapSoundness)
-{
-    // The same constant stored through: now a forged heap pointer is
-    // dereferenced, so every heap-locality conclusion must self-degrade
-    // (the store could alias any allocation).
-    ProgramBuilder b;
-    b.beginFunction("main");
-    b.movri(Reg::rax, static_cast<int64_t>(asmkit::kHeapBase + 0x100));
-    b.movri(Reg::rcx, 64);
-    b.mallocCall(Reg::rbx, Reg::rcx);
     b.storei(MemOperand::baseDisp(Reg::rax, 0), 7);
     b.halt();
     b.endFunction();
@@ -922,10 +886,41 @@ TEST(PointsTo, DereferencedHeapLiteralVoidsHeapSoundness)
     const ProgramAnalysis pa(program, true);
     const PointsTo *pt = pa.pointsTo();
     ASSERT_NE(pt, nullptr);
-    EXPECT_FALSE(pt->noHeapForgery());
-    EXPECT_FALSE(pt->heapSound());
-    EXPECT_EQ(pt->stats().thread_local_allocs, 0u);
-    EXPECT_TRUE(pt->threadLocalAllocSites().empty());
+    EXPECT_FALSE(pt->stats().top_store);
+    EXPECT_TRUE(pt->immutableCovers(table_addr, 8));
+}
+
+TEST(PointsTo, ForgedHeapStoreReachesAllocationLoads)
+{
+    // A code pointer stored through a forged heap pointer may land in
+    // any allocation, so a load from a real allocation must see it and
+    // the indirect call it feeds must resolve to that target.
+    ProgramBuilder b;
+    b.beginFunction("main");
+    b.movri(Reg::rax, static_cast<int64_t>(asmkit::kHeapBase + 0x100));
+    b.movLabel(Reg::rdx, "helper");
+    b.store(MemOperand::baseDisp(Reg::rax, 0), Reg::rdx);
+    b.movri(Reg::rcx, 64);
+    b.mallocCall(Reg::rbx, Reg::rcx);
+    b.load(Reg::r8, MemOperand::baseDisp(Reg::rbx, 0));
+    b.callind(Reg::r8);
+    b.halt();
+    b.endFunction();
+    b.beginFunction("helper");
+    b.ret();
+    b.endFunction();
+    const Program program = b.build();
+
+    const ProgramAnalysis pa(program, true);
+    const PointsTo *pt = pa.pointsTo();
+    ASSERT_NE(pt, nullptr);
+    EXPECT_FALSE(pt->stats().top_store);
+    ASSERT_EQ(pt->indirectTargets().size(), 1u);
+    const std::vector<uint32_t> &targets =
+        pt->indirectTargets().begin()->second;
+    EXPECT_NE(std::find(targets.begin(), targets.end(),
+                        program.labelAddr("helper")),
+              targets.end());
 }
 
 TEST(PointsTo, BoundaryPoolsAvoidPhantomTopStore)
@@ -1002,8 +997,9 @@ TEST(PointsTo, ReportsIdenticalOnOracleBattery)
                 << gw.workload.name << " jobs=" << jobs;
             // Points-to off must not recover constants.
             EXPECT_EQ(r_off.replay_stats.recovered_constant, 0u);
-            // The heap layer only ever prunes more, never less.
-            EXPECT_GE(r_on.prefilter.pruned(),
+            // The prefilter reads only escape facts: points-to on and
+            // off prune the same events.
+            EXPECT_EQ(r_on.prefilter.pruned(),
                       r_off.prefilter.pruned())
                 << gw.workload.name;
         }

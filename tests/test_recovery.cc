@@ -1133,6 +1133,56 @@ TEST(Supervision, HardTraceErrorFailsFastWithoutRetry)
     svc.shutdown();
 }
 
+TEST(Supervision, OutOfRangeRecordTidDropsOnlyItsSegment)
+{
+    // A record tid the FastTrack epochs cannot pack — a PEBS sample's,
+    // or the child tid of a spawn — drops its segment at decode, like an
+    // out-of-range kind byte: analysis completes instead of aborting,
+    // and the service neither retries nor quarantines the session.
+    const uint64_t seed = testutil::testSeed(103);
+    PRORACE_SEED_TRACE(seed);
+    Recorded rec = recordWorkload("aget-bug2", 0.1, 16, seed);
+    ASSERT_FALSE(rec.trace.pebs.empty());
+    ASSERT_FALSE(rec.trace.sync.empty());
+    trace::PebsRecord bad_sample = rec.trace.pebs.back();
+    bad_sample.tid = 2000;
+    rec.trace.pebs.push_back(bad_sample);
+    trace::SyncRecord bad_spawn = rec.trace.sync.back();
+    bad_spawn.kind = vm::SyncKind::kSpawn;
+    bad_spawn.aux = 2000;
+    rec.trace.sync.push_back(bad_spawn);
+    rec.bytes = trace::serializeTrace(rec.trace);
+
+    auto loaded = trace::readTrace(rec.bytes);
+    ASSERT_TRUE(loaded.ok());
+    EXPECT_EQ(loaded.value().loss.segments_dropped, 2u);
+    EXPECT_GT(loaded.value().loss.pebs_dropped, 0u);
+    EXPECT_GT(loaded.value().loss.sync_dropped, 0u);
+
+    const core::OfflineOptions offline =
+        core::proRaceConfig(16, seed, rec.filter).offline;
+    core::OfflineAnalyzer analyzer(*rec.program, offline);
+    const core::OfflineResult result = analyzer.analyze(loaded.value());
+    EXPECT_EQ(result.ingest_loss.segments_dropped, 2u);
+
+    service::ServiceOptions options;
+    options.offline.pt_filter = rec.filter;
+    service::AnalysisService svc(options);
+    svc.registerProgram("aget-bug2", rec.program);
+    const uint64_t id = svc.openSession("wide-tid", "aget-bug2");
+    ASSERT_NE(id, 0u);
+    streamSession(svc, id, rec.bytes);
+    svc.drain();
+
+    const auto outcomes = svc.outcomes();
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
+    EXPECT_EQ(outcomes[0].attempts, 1u);
+    EXPECT_FALSE(outcomes[0].quarantined);
+    EXPECT_EQ(outcomes[0].loss.segments_dropped, 2u);
+    svc.shutdown();
+}
+
 TEST(FleetSimulator, PoisonTenantsDegradeIntoStatistics)
 {
     service::FleetConfig cfg;

@@ -293,10 +293,6 @@ randomProgram(Rng &rng, uint64_t data_base)
 // Points-to lint: execute real workloads and check that every claim
 // the Andersen layer makes holds for what the machine actually did —
 //
-//  - no thread but the allocator ever touches a live block of an
-//    allocation site the solver calls thread-local (a cross-thread
-//    access into a claimed-local object would mean the heap prefilter
-//    can silently drop a racing access: hard failure);
 //  - no write ever lands in a range the solver calls immutable (replay
 //    would recover a stale constant);
 //  - every observed indirect-transfer target is inside the site's
@@ -306,12 +302,12 @@ randomProgram(Rng &rng, uint64_t data_base)
 
 /** One totally-ordered record of everything the machine did. */
 struct PtTraceEvent {
-    enum Kind { kAccess, kMalloc, kFree, kIndirect };
+    enum Kind { kAccess, kIndirect };
     Kind kind;
     uint32_t tid = 0;
     uint32_t insn_index = 0;
-    uint64_t addr = 0;  ///< access address / block address / target
-    uint64_t size = 0;  ///< access width / block size
+    uint64_t addr = 0;  ///< access address / target
+    uint64_t size = 0;  ///< access width
     bool is_write = false;
 };
 
@@ -327,19 +323,6 @@ class PtLintObserver : public vm::ExecutionObserver
     {
         events.push_back({PtTraceEvent::kAccess, ev.tid, ev.insn_index,
                           ev.addr, ev.width, ev.is_write});
-        return 0;
-    }
-
-    uint64_t
-    onSync(const vm::SyncEvent &ev) override
-    {
-        if (ev.kind == vm::SyncKind::kMalloc) {
-            events.push_back({PtTraceEvent::kMalloc, ev.tid,
-                              ev.insn_index, ev.object, ev.aux, false});
-        } else if (ev.kind == vm::SyncKind::kFree) {
-            events.push_back({PtTraceEvent::kFree, ev.tid,
-                              ev.insn_index, ev.object, 0, false});
-        }
         return 0;
     }
 
@@ -369,24 +352,9 @@ pointsToLint(const workload::Workload &w, uint64_t seed)
     w.setup(machine);
     machine.run();
 
-    // Replay the total order, tracking live heap blocks (the allocator
-    // reuses addresses, so a block is keyed by its [malloc, free)
-    // lifetime, not its address alone).
-    struct LiveBlock {
-        uint32_t owner_tid;
-        uint32_t site;
-        uint64_t size;
-    };
-    std::map<uint64_t, LiveBlock> live; ///< block base → block
-    uint64_t checked_local = 0, checked_indirect = 0;
+    uint64_t checked_indirect = 0;
     for (const PtTraceEvent &ev : observer.events) {
         switch (ev.kind) {
-          case PtTraceEvent::kMalloc:
-            live[ev.addr] = {ev.tid, ev.insn_index, ev.size};
-            break;
-          case PtTraceEvent::kFree:
-            live.erase(ev.addr);
-            break;
           case PtTraceEvent::kIndirect: {
             const auto it = pt->indirectTargets().find(ev.insn_index);
             if (it == pt->indirectTargets().end())
@@ -399,39 +367,20 @@ pointsToLint(const workload::Workload &w, uint64_t seed)
                 << " outside the resolved set";
             break;
           }
-          case PtTraceEvent::kAccess: {
+          case PtTraceEvent::kAccess:
             if (ev.is_write) {
                 EXPECT_FALSE(pt->immutableCovers(ev.addr, ev.size))
                     << w.name << ": write at insn " << ev.insn_index
                     << " hit a claimed-immutable range @" << std::hex
                     << ev.addr;
             }
-            if (!pt->heapSound())
-                break;
-            // Find the live block containing the access, if any.
-            const auto it = live.upper_bound(ev.addr);
-            if (it == live.begin())
-                break;
-            const auto &[base, blk] = *std::prev(it);
-            if (ev.addr >= base + blk.size)
-                break;
-            if (pt->allocSiteThreadLocal(blk.site)) {
-                ++checked_local;
-                EXPECT_EQ(ev.tid, blk.owner_tid)
-                    << w.name << ": tid " << ev.tid << " accessed a "
-                    << "claimed-thread-local block of site " << blk.site
-                    << " owned by tid " << blk.owner_tid << " (insn "
-                    << ev.insn_index << ")";
-            }
             break;
-          }
         }
     }
 
     // The lint must actually have exercised a claim on the dispatch
     // subject; on other workloads vacuous passes are fine.
     if (w.name == "ptr-dispatch") {
-        EXPECT_GT(checked_local, 0u) << "no thread-local claim checked";
         EXPECT_GT(checked_indirect, 0u) << "no indirect claim checked";
     }
 }

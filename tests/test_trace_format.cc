@@ -126,6 +126,8 @@ randomTrace(uint64_t seed, size_t pebs_records = 900,
         s.object = rng.chance(0.7) ? 0x9000 + 16 * rng.below(8)
                                    : rng.next();
         s.aux = rng.below(1u << 20);
+        if (s.kind == SyncKind::kSpawn || s.kind == SyncKind::kJoin)
+            s.aux %= trace::kMaxTraceThreads; // a valid child tid
         s.tsc = stsc;
         s.insn_index = static_cast<uint32_t>(rng.below(5000));
         t.sync.push_back(s);
@@ -486,6 +488,88 @@ TEST(TraceFormatV5, OutOfRangeKindByteDropsTheSegmentCleanly)
         EXPECT_EQ(loss.sync_dropped, count) << unsigned(bad);
         for (const trace::SyncRecord &s : loaded.value().trace.sync)
             ASSERT_LE(static_cast<uint8_t>(s.kind), vm::kMaxSyncKind);
+    }
+}
+
+/** Meta payload offsets of the fields the forged-meta tests rewrite. */
+struct MetaLayout {
+    size_t num_cores = 0;
+    size_t first_tid = 0;
+    size_t pt_count = 0;
+};
+
+MetaLayout
+metaLayout(const RunTrace &t)
+{
+    // num_cores, ten u64 counters, the first-period table, the thread
+    // count; then (tid, entry) pairs and the PEBS/sync record counts.
+    const size_t threads =
+        4 + 8 * 10 + 4 + 8 * t.meta.first_periods.size() + 4;
+    return {0, threads, threads + 8 * t.meta.threads.size() + 16};
+}
+
+/** @p bytes with the meta u32 at @p offset set to @p value, CRC fixed. */
+std::vector<uint8_t>
+forgeMetaU32(const std::vector<uint8_t> &bytes, size_t offset,
+             uint32_t value)
+{
+    std::vector<uint8_t> forged = bytes;
+    for (const fault::SegmentSpan &s : fault::mapSegments(bytes)) {
+        if (s.kind != 1)
+            continue;
+        for (int i = 0; i < 4; ++i)
+            forged[s.begin + 25 + offset + i] =
+                static_cast<uint8_t>(value >> (8 * i));
+        fixPayloadCrc(forged, s);
+        return forged;
+    }
+    ADD_FAILURE() << "no meta segment";
+    return forged;
+}
+
+TEST(TraceFormatV5, ForgedPtStreamCountIsCorruptMeta)
+{
+    // The PT-stream count sizes an allocation before any stream
+    // arrives: a count above num_cores, or above the cap when num_cores
+    // is forged too, is corrupt meta and never reaches the allocator.
+    const RunTrace t = randomTrace(31, 60, 60);
+    ASSERT_EQ(t.meta.num_cores, 2u);
+    const std::vector<uint8_t> bytes = trace::serializeTrace(t);
+    const MetaLayout at = metaLayout(t);
+
+    // Control: rewriting the count to its true value decodes cleanly,
+    // so the rejections below are the bounds' doing.
+    ASSERT_TRUE(trace::readTrace(forgeMetaU32(bytes, at.pt_count, 2)).ok());
+
+    auto above_cores = trace::readTrace(forgeMetaU32(bytes, at.pt_count, 3));
+    ASSERT_FALSE(above_cores.ok());
+    EXPECT_EQ(above_cores.error().kind, trace::TraceErrorKind::kCorruptMeta);
+
+    const std::vector<uint8_t> huge = forgeMetaU32(
+        forgeMetaU32(bytes, at.num_cores, 0xFFFFFFFFu), at.pt_count,
+        0xFFFFFFFFu);
+    auto capped = trace::readTrace(huge);
+    ASSERT_FALSE(capped.ok());
+    EXPECT_EQ(capped.error().kind, trace::TraceErrorKind::kCorruptMeta);
+}
+
+TEST(TraceFormatV5, ForgedThreadTidIsCorruptMeta)
+{
+    // Meta thread tids index detector tables (the streaming detector
+    // sizes its required-thread table by tid + 1): a tid at or past the
+    // FastTrack thread limit is corrupt meta, not a later crash.
+    const RunTrace t = randomTrace(37, 60, 60);
+    const std::vector<uint8_t> bytes = trace::serializeTrace(t);
+    const MetaLayout at = metaLayout(t);
+    const uint32_t limit = detect::Epoch::kMaxThreads;
+
+    ASSERT_TRUE(
+        trace::readTrace(forgeMetaU32(bytes, at.first_tid, limit - 1)).ok());
+    for (const uint32_t tid : {limit, 0xFFFFFFFFu}) {
+        auto loaded = trace::readTrace(forgeMetaU32(bytes, at.first_tid, tid));
+        ASSERT_FALSE(loaded.ok()) << tid;
+        EXPECT_EQ(loaded.error().kind, trace::TraceErrorKind::kCorruptMeta)
+            << tid;
     }
 }
 
