@@ -2,7 +2,9 @@
  * @file
  * Regenerates Figure 12: offline-analysis cost per one second of traced
  * program execution at sampling period 10000, with the pipeline
- * breakdown (PT decode / trace reconstruction / race detection).
+ * breakdown (PT decode / trace reconstruction / race detection), with
+ * reconstruction split into alignment and replay and replay into its
+ * forward passes and backward scans.
  *
  * The paper (on PIN-based tooling) reports 54.5 s/s for apache and
  * 35.3 s/s for mysql, split 33.7% decode / 64.7% reconstruction /
@@ -42,10 +44,12 @@ runBreakdown(prorace::bench::JsonReporter &json)
     bench::banner("Figure 12",
                   "Offline analysis seconds per 1 s of traced execution "
                   "(period 10000), with stage breakdown.");
-    std::printf("%-16s %12s %12s %14s %12s\n", "app", "total s/s",
-                "decode%", "reconstruct%", "detect%");
+    std::printf("%-16s %10s %8s %8s %8s %8s %8s %8s\n", "app",
+                "total s/s", "decode%", "align%", "replay%", "(fwd%", "bwd%)",
+                "detect%");
 
-    double decode_sum = 0, rec_sum = 0, det_sum = 0;
+    double decode_sum = 0, align_sum = 0, replay_sum = 0, fwd_sum = 0,
+           bwd_sum = 0, det_sum = 0;
     for (const char *name : kSubjects) {
         auto bug = workload::makeRacyBug(name, bench::envScale());
         auto cfg = core::proRaceConfig(10000, 42, bug.pt_filter);
@@ -56,26 +60,38 @@ runBreakdown(prorace::bench::JsonReporter &json)
             driver::kCyclesPerSecond;
         const double total = result.offline.totalSeconds();
         const double per_second = total / run_seconds;
+        const auto &rs = result.offline.replay_stats;
         decode_sum += result.offline.decode_seconds;
-        rec_sum += result.offline.reconstruct_seconds;
+        align_sum += result.offline.align_seconds;
+        replay_sum += result.offline.replay_seconds;
+        fwd_sum += rs.forward_seconds;
+        bwd_sum += rs.backward_seconds;
         det_sum += result.offline.detect_seconds;
-        std::printf("%-16s %12.1f %11.1f%% %13.1f%% %11.2f%%\n", name,
-                    per_second,
+        std::printf("%-16s %10.1f %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%% "
+                    "%7.2f%%\n",
+                    name, per_second,
                     100 * result.offline.decode_seconds / total,
-                    100 * result.offline.reconstruct_seconds / total,
+                    100 * result.offline.align_seconds / total,
+                    100 * result.offline.replay_seconds / total,
+                    100 * rs.forward_seconds / total,
+                    100 * rs.backward_seconds / total,
                     100 * result.offline.detect_seconds / total);
         std::fflush(stdout);
-        const auto &pm = result.offline.replay_stats.program_map;
+        const auto &pm = rs.program_map;
         json.record(
             "fig12_offline_analysis", {{"app", name}},
             {{"per_second", per_second},
              {"total_s", total},
              {"decode_s", result.offline.decode_seconds},
-             {"reconstruct_s", result.offline.reconstruct_seconds},
+             {"reconstruct_s", result.offline.reconstructSeconds()},
+             {"align_s", result.offline.align_seconds},
+             {"replay_s", result.offline.replay_seconds},
+             {"forward_s", rs.forward_seconds},
+             {"backward_s", rs.backward_seconds},
              {"detect_s", result.offline.detect_seconds},
              // Shadow-structure behavior behind the wall time: paged
-             // ProgramMap page/probe traffic and FastTrack's fast-path
-             // and read-share mix.
+             // ProgramMap page traffic and FastTrack's fast-path and
+             // read-share mix.
              {"events",
               static_cast<double>(result.offline.extended_trace_events)},
              {"pm_pages", static_cast<double>(pm.pages_allocated)},
@@ -88,9 +104,12 @@ runBreakdown(prorace::bench::JsonReporter &json)
               static_cast<double>(
                   result.offline.detect_stats.read_shares)}});
     }
-    const double total = decode_sum + rec_sum + det_sum;
-    std::printf("%-16s %12s %11.1f%% %13.1f%% %11.2f%%\n", "(overall)",
-                "", 100 * decode_sum / total, 100 * rec_sum / total,
+    const double total = decode_sum + align_sum + replay_sum + det_sum;
+    std::printf("%-16s %10s %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%% "
+                "%7.2f%%\n",
+                "(overall)", "", 100 * decode_sum / total,
+                100 * align_sum / total, 100 * replay_sum / total,
+                100 * fwd_sum / total, 100 * bwd_sum / total,
                 100 * det_sum / total);
     std::printf("\npaper breakdown: decode 33.7%%, reconstruction "
                 "64.7%%, detection 1.6%% (PIN-based engine)\n");

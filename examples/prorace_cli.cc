@@ -124,17 +124,18 @@ printShadowStats(const core::OfflineResult &result)
         ? 100.0 * static_cast<double>(pm.cache_hits) /
             static_cast<double>(pm.page_lookups)
         : 0.0;
-    const double pm_probe = pm.page_lookups
-        ? static_cast<double>(pm.probe_steps) /
-            static_cast<double>(pm.page_lookups)
-        : 0.0;
     std::printf("program map: %llu pages, %llu lookups "
-                "(%.1f%% last-page cache hits, %.2f probes/lookup), "
+                "(%.1f%% last-page cache hits), "
                 "%llu bulk invalidations\n",
                 static_cast<unsigned long long>(pm.pages_allocated),
                 static_cast<unsigned long long>(pm.page_lookups),
-                hit_rate, pm_probe,
+                hit_rate,
                 static_cast<unsigned long long>(pm.mem_invalidations));
+    std::printf("replay time: align %.3fs, replay %.3fs (forward passes "
+                "%.3fs, backward scans %.3fs, summed over windows)\n",
+                result.align_seconds, result.replay_seconds,
+                result.replay_stats.forward_seconds,
+                result.replay_stats.backward_seconds);
 
     const core::PrefilterStats &pf = result.prefilter;
     if (pf.enabled) {
@@ -477,10 +478,14 @@ cmdAnalyze(const Args &args)
                         result.replay_stats.window_retries));
     }
 
-    std::printf("decode %.3fs  reconstruct %.3fs  detect %.3fs  "
+    std::printf("decode %.3fs  align %.3fs  replay %.3fs (forward %.3fs, "
+                "backward %.3fs)  detect %.3fs  "
                 "(%llu events, recovery %.1fx, %d regeneration "
                 "rounds)\n",
-                result.decode_seconds, result.reconstruct_seconds,
+                result.decode_seconds, result.align_seconds,
+                result.replay_seconds,
+                result.replay_stats.forward_seconds,
+                result.replay_stats.backward_seconds,
                 result.detect_seconds,
                 static_cast<unsigned long long>(
                     result.extended_trace_events),

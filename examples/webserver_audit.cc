@@ -49,7 +49,7 @@ main(int argc, char **argv)
 
     std::printf("offline: decode %.3fs, reconstruct %.3fs, detect "
                 "%.3fs; %llu extended-trace events\n",
-                result.decode_seconds, result.reconstruct_seconds,
+                result.decode_seconds, result.reconstructSeconds(),
                 result.detect_seconds,
                 static_cast<unsigned long long>(
                     result.extended_trace_events));

@@ -34,14 +34,6 @@ Program::Program(std::vector<Insn> code,
     computeBlocks();
 }
 
-const Insn &
-Program::insnAt(uint32_t index) const
-{
-    PRORACE_ASSERT(index < code_.size(), "instruction index out of range: ",
-                   index);
-    return code_[index];
-}
-
 uint32_t
 Program::labelAddr(const std::string &label) const
 {
@@ -92,15 +84,15 @@ Program::computeBlocks()
         }
     }
     block_starts_.assign(leaders.begin(), leaders.end());
-}
-
-uint32_t
-Program::blockOf(uint32_t index) const
-{
-    PRORACE_ASSERT(index < code_.size(), "blockOf index out of range");
-    auto it = std::upper_bound(block_starts_.begin(), block_starts_.end(),
-                               index);
-    return static_cast<uint32_t>(it - block_starts_.begin()) - 1;
+    // Per-instruction block table: blockOf() is on the replay hot path.
+    block_of_.resize(code_.size());
+    for (uint32_t b = 0; b < block_starts_.size(); ++b) {
+        const uint32_t end = b + 1 < block_starts_.size()
+            ? block_starts_[b + 1]
+            : static_cast<uint32_t>(code_.size());
+        std::fill(block_of_.begin() + block_starts_[b],
+                  block_of_.begin() + end, b);
+    }
 }
 
 uint32_t

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "isa/insn.hh"
+#include "support/log.hh"
 
 namespace prorace::asmkit {
 
@@ -53,7 +54,13 @@ class Program
     const std::vector<isa::Insn> &code() const { return code_; }
 
     /** Instruction at @p index. */
-    const isa::Insn &insnAt(uint32_t index) const;
+    const isa::Insn &
+    insnAt(uint32_t index) const
+    {
+        PRORACE_ASSERT(index < code_.size(),
+                       "instruction index out of range: ", index);
+        return code_[index];
+    }
 
     /** Number of instructions. */
     uint32_t size() const { return static_cast<uint32_t>(code_.size()); }
@@ -77,7 +84,13 @@ class Program
     const std::vector<Function> &functions() const { return functions_; }
 
     /** Index of the basic block containing instruction @p index. */
-    uint32_t blockOf(uint32_t index) const;
+    uint32_t
+    blockOf(uint32_t index) const
+    {
+        PRORACE_ASSERT(index < block_of_.size(),
+                       "blockOf index out of range");
+        return block_of_[index];
+    }
 
     /** First instruction of basic block @p block. */
     uint32_t blockBegin(uint32_t block) const;
@@ -102,6 +115,7 @@ class Program
     std::map<std::string, DataSymbol> symbols_;
     std::vector<Function> functions_;
     std::vector<uint32_t> block_starts_; ///< sorted leader indices
+    std::vector<uint32_t> block_of_;     ///< block index per instruction
 };
 
 } // namespace prorace::asmkit

@@ -504,7 +504,7 @@ OfflineAnalyzer::analyzeWith(const trace::RunTrace &run,
         alignments = replay::alignTrace(program_, paths, run,
                                         &result.align_stats,
                                         analysis_.get());
-        result.reconstruct_seconds += timer.lap();
+        result.align_seconds = timer.lap();
     }
 
     replay::ReplayConfig replay_config = options.replay;
@@ -518,7 +518,7 @@ OfflineAnalyzer::analyzeWith(const trace::RunTrace &run,
             replayer.replayAll(paths, alignments, run, ex);
         result.replay_stats = replayer.stats();
         result.extended_trace_events = accesses.size();
-        result.reconstruct_seconds += timer.lap();
+        result.replay_seconds += timer.lap();
 
         // --- detection (prefilter cost counts as detection cost) ---
         detail::applyStaticPrefilter(accesses, analysis_.get(),

@@ -194,15 +194,24 @@ struct OfflineResult {
     uint64_t extended_trace_events = 0; ///< counted before the prefilter
     int regeneration_rounds = 0;
 
-    // Wall-clock cost split of the offline pipeline (paper §7.6).
+    // Wall-clock cost split of the offline pipeline (paper §7.6);
+    // replay_stats splits replay further into forward and backward.
     double decode_seconds = 0;
-    double reconstruct_seconds = 0; ///< alignment + replay
+    double align_seconds = 0;  ///< sample/sync alignment
+    double replay_seconds = 0; ///< replayAll, over every round
     double detect_seconds = 0;
+
+    /** Alignment plus replay: the paper's "reconstruction". */
+    double
+    reconstructSeconds() const
+    {
+        return align_seconds + replay_seconds;
+    }
 
     double
     totalSeconds() const
     {
-        return decode_seconds + reconstruct_seconds + detect_seconds;
+        return decode_seconds + reconstructSeconds() + detect_seconds;
     }
 };
 

@@ -25,46 +25,14 @@ mixHash(uint64_t x)
 // --- registers ---
 
 void
-ProgramMap::restoreRegs(const vm::RegFile &regs)
+ProgramMap::beginPass()
 {
-    values_ = regs.gpr;
-    avail_mask_ = 0xffff;
-}
-
-bool
-ProgramMap::regAvailable(Reg reg) const
-{
-    PRORACE_ASSERT(isGpr(reg), "availability of non-GPR");
-    return (avail_mask_ >> gprIndex(reg)) & 1u;
-}
-
-uint64_t
-ProgramMap::regValue(Reg reg) const
-{
-    PRORACE_ASSERT(regAvailable(reg), "read of unavailable register ",
-                   isa::regName(reg));
-    return values_[gprIndex(reg)];
-}
-
-void
-ProgramMap::setReg(Reg reg, uint64_t value)
-{
-    PRORACE_ASSERT(isGpr(reg), "set of non-GPR");
-    values_[gprIndex(reg)] = value;
-    avail_mask_ |= static_cast<uint16_t>(1u << gprIndex(reg));
-}
-
-void
-ProgramMap::invalidateReg(Reg reg)
-{
-    PRORACE_ASSERT(isGpr(reg), "invalidate of non-GPR");
-    avail_mask_ &= static_cast<uint16_t>(~(1u << gprIndex(reg)));
-}
-
-void
-ProgramMap::invalidateAllRegs()
-{
+    // O(1): pages of earlier passes read as absent until a write
+    // restamps them, which is what a fresh map would show.
     avail_mask_ = 0;
+    ++pass_;
+    last_page_ = nullptr;
+    mstats_ = ProgramMapStats();
 }
 
 unsigned
@@ -159,6 +127,21 @@ ProgramMap::growTable(size_t new_cap)
 }
 
 ProgramMap::Page *
+ProgramMap::probe(uint64_t page_index) const
+{
+    if (table_.empty())
+        return nullptr;
+    const size_t mask = table_.size() - 1;
+    size_t i = mixHash(page_index) & mask;
+    while (table_[i]) {
+        if (table_[i]->index == page_index)
+            return table_[i].get();
+        i = (i + 1) & mask;
+    }
+    return nullptr;
+}
+
+ProgramMap::Page *
 ProgramMap::findPage(uint64_t page_index)
 {
     ++mstats_.page_lookups;
@@ -167,20 +150,12 @@ ProgramMap::findPage(uint64_t page_index)
         refreshAvail(*last_page_);
         return last_page_;
     }
-    if (table_.empty())
+    Page *page = probe(page_index);
+    if (!page || page->pass != pass_)
         return nullptr;
-    const size_t mask = table_.size() - 1;
-    size_t i = mixHash(page_index) & mask;
-    while (table_[i]) {
-        ++mstats_.probe_steps;
-        if (table_[i]->index == page_index) {
-            last_page_ = table_[i].get();
-            refreshAvail(*last_page_);
-            return last_page_;
-        }
-        i = (i + 1) & mask;
-    }
-    return nullptr;
+    last_page_ = page;
+    refreshAvail(*page);
+    return page;
 }
 
 ProgramMap::Page &
@@ -189,27 +164,32 @@ ProgramMap::getPage(uint64_t page_index)
     if (Page *page = findPage(page_index))
         return *page;
 
-    // Pages are never removed (invalidation is an epoch bump), so the
-    // table needs no tombstones; keep load under 1/2 for short probes.
-    if (table_.empty()) {
-        growTable(16);
-    } else if ((page_count_ + 1) * 2 >= table_.size()) {
-        growTable(table_.size() * 2);
+    Page *page = probe(page_index);
+    if (!page) {
+        // Pages are never removed (invalidation is an epoch bump), so
+        // the table needs no tombstones; keep load under 1/2 for short
+        // probes.
+        if (table_.empty()) {
+            growTable(16);
+        } else if ((page_count_ + 1) * 2 >= table_.size()) {
+            growTable(table_.size() * 2);
+        }
+        const size_t mask = table_.size() - 1;
+        size_t i = mixHash(page_index) & mask;
+        while (table_[i])
+            i = (i + 1) & mask;
+        table_[i] = std::make_unique<Page>();
+        table_[i]->index = page_index;
+        page = table_[i].get();
+        ++page_count_;
     }
-
-    const size_t mask = table_.size() - 1;
-    size_t i = mixHash(page_index) & mask;
-    while (table_[i]) {
-        ++mstats_.probe_steps;
-        i = (i + 1) & mask;
-    }
-    table_[i] = std::make_unique<Page>();
-    table_[i]->index = page_index;
-    table_[i]->avail_epoch = epoch_;
-    ++page_count_;
+    // New to this pass: nothing available yet; blacklist bits persist.
+    page->pass = pass_;
+    page->avail.fill(0);
+    page->avail_epoch = epoch_;
     ++mstats_.pages_allocated;
-    last_page_ = table_[i].get();
-    return *last_page_;
+    last_page_ = page;
+    return *page;
 }
 
 // --- emulated memory ---
@@ -297,8 +277,8 @@ ProgramMap::readMem(uint64_t addr, uint8_t width)
             value |= static_cast<uint64_t>(chunk.page->bytes[chunk.off + i])
                 << (8 * (chunk.byte_shift + i));
         }
-        setBits(chunk.page->consumed.data(), chunk.off, chunk.len);
     }
+    consumed_log_.push_back({addr, width});
     return value;
 }
 
@@ -306,7 +286,7 @@ void
 ProgramMap::invalidateMemory()
 {
     // O(1): stale pages refresh their availability bitmap on first
-    // touch. Value bytes, blacklist, and consumed marks all survive.
+    // touch. Value bytes, blacklist, and the consumed log all survive.
     ++epoch_;
     ++mstats_.mem_invalidations;
 }
@@ -331,19 +311,9 @@ std::unordered_set<uint64_t>
 ProgramMap::consumedAddresses() const
 {
     std::unordered_set<uint64_t> out;
-    for (const auto &slot : table_) {
-        if (!slot)
-            continue;
-        const uint64_t base = slot->index << kPageShift;
-        for (unsigned w = 0; w < kWordsPerPage; ++w) {
-            uint64_t bits = slot->consumed[w];
-            while (bits) {
-                const unsigned b =
-                    static_cast<unsigned>(std::countr_zero(bits));
-                out.insert(base + 64ull * w + b);
-                bits &= bits - 1;
-            }
-        }
+    for (const MemSpan &span : consumed_log_) {
+        for (unsigned i = 0; i < span.width; ++i)
+            out.insert(span.addr + i);
     }
     return out;
 }

@@ -1,9 +1,9 @@
 #include "replay/replayer.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <array>
+#include <bit>
+#include <mutex>
 #include <optional>
 
 #include "analysis/analysis.hh"
@@ -12,6 +12,7 @@
 #include "isa/semantics.hh"
 #include "replay/static_info.hh"
 #include "support/log.hh"
+#include "support/timer.hh"
 
 namespace prorace::replay {
 
@@ -42,6 +43,39 @@ invertibleAlu(AluOp op)
     return op == AluOp::kAdd || op == AluOp::kSub || op == AluOp::kXor;
 }
 
+/** Free @p v's storage when it holds more than @p keep_bytes. */
+template <typename T>
+void
+releaseAbove(std::vector<T> &v, size_t keep_bytes)
+{
+    if (v.capacity() * sizeof(T) > keep_bytes)
+        std::vector<T>().swap(v);
+}
+
+/** A sample's own access, at position 0 (no path position known). */
+ReconstructedAccess
+sampleAccess(const trace::PebsRecord &rec)
+{
+    ReconstructedAccess acc;
+    acc.tid = rec.tid;
+    acc.insn_index = rec.insn_index;
+    acc.addr = rec.addr;
+    acc.width = rec.width;
+    acc.is_write = rec.is_write;
+    acc.is_atomic = rec.is_atomic;
+    acc.tsc = rec.tsc;
+    acc.origin = AccessOrigin::kSampled;
+    return acc;
+}
+
+/** Sort @p spans and drop repeats. */
+void
+dedupe(std::vector<MemSpan> &spans)
+{
+    std::sort(spans.begin(), spans.end());
+    spans.erase(std::unique(spans.begin(), spans.end()), spans.end());
+}
+
 } // namespace
 
 Replayer::Replayer(const asmkit::Program &program,
@@ -50,23 +84,125 @@ Replayer::Replayer(const asmkit::Program &program,
 {
 }
 
+// --- emission buffer ---
+
+void
+Replayer::EmitBuffer::clear()
+{
+    merged_.clear();
+    fresh_.clear();
+    cursor_ = 0;
+    live_ = 0;
+}
+
+bool
+Replayer::EmitBuffer::add(const Entry &entry)
+{
+    while (cursor_ < merged_.size() && merged_[cursor_].key < entry.key)
+        ++cursor_;
+    if (cursor_ < merged_.size() && merged_[cursor_].key == entry.key &&
+        merged_[cursor_].live) {
+        return false;
+    }
+    fresh_.push_back(entry);
+    ++live_;
+    return true;
+}
+
+void
+Replayer::EmitBuffer::eraseRecovered(uint64_t lo_key, uint64_t hi_key,
+                                     ReplayStats &stats)
+{
+    auto erase_in = [&](std::vector<Entry> &run) {
+        auto it = std::lower_bound(
+            run.begin(), run.end(), lo_key,
+            [](const Entry &e, uint64_t key) { return e.key < key; });
+        for (; it != run.end() && it->key <= hi_key; ++it) {
+            const AccessOrigin origin = it->origin;
+            if (!it->live || (origin != AccessOrigin::kForward &&
+                              origin != AccessOrigin::kBackward)) {
+                continue;
+            }
+            if (origin == AccessOrigin::kForward)
+                --stats.recovered_forward;
+            else
+                --stats.recovered_backward;
+            it->live = false;
+            --live_;
+        }
+    };
+    erase_in(merged_);
+    erase_in(fresh_);
+}
+
+void
+Replayer::EmitBuffer::endPass()
+{
+    // Merge from the back into merged_'s own tail, then drop the
+    // tombstones. Keys are unique among live entries, so ties (a
+    // tombstone and its replacement) need no order.
+    size_t i = merged_.size();
+    size_t j = fresh_.size();
+    merged_.resize(i + j);
+    for (size_t k = i + j; j > 0;) {
+        if (i > 0 && merged_[i - 1].key > fresh_[j - 1].key)
+            merged_[--k] = merged_[--i];
+        else
+            merged_[--k] = fresh_[--j];
+    }
+    std::erase_if(merged_, [](const Entry &e) { return !e.live; });
+    fresh_.clear();
+}
+
+void
+Replayer::EmitBuffer::trim(size_t keep_bytes)
+{
+    releaseAbove(merged_, keep_bytes);
+    releaseAbove(fresh_, keep_bytes);
+}
+
+void
+Replayer::Scratch::trim()
+{
+    // Short windows (the common case) keep their buffers; a long one
+    // gives back what it grew.
+    constexpr size_t kKeepBytes = 256 * 1024;
+    emit.trim(kKeepBytes);
+    releaseAbove(hints, kKeepBytes);
+    releaseAbove(facts, kKeepBytes);
+    releaseAbove(run_back, kKeepBytes);
+}
+
+// --- replay passes ---
+
+std::unique_ptr<Replayer::Scratch>
+Replayer::makeScratch() const
+{
+    auto s = std::make_unique<Scratch>();
+    for (const auto &[addr, size] : config_.mem_blacklist)
+        s->pm.blacklistMem(addr, size);
+    return s;
+}
+
 void
 Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
-                      const trace::RunTrace &run, const FactList &facts,
-                      AccessOrigin tag, EmitMap &emit, FactList *hints_out,
-                      bool *consistent_out, uint64_t *bad_pos_out)
+                      const FactList &facts, AccessOrigin tag, Scratch &s,
+                      FactList *hints_out, bool *consistent_out,
+                      uint64_t *bad_pos_out) const
 {
+    const Stopwatch timer;
     size_t fact_cursor = 0;
     while (fact_cursor < facts.size() &&
            facts[fact_cursor].pos < win.start) {
         ++fact_cursor;
     }
-    (void)run;
-    ProgramMap pm;
+    ReplayStats &stats = s.stats;
+    EmitBuffer &emit = s.emit;
+    ProgramMap &pm = s.pm;
+    pm.beginPass();
+    emit.beginPass();
     if (win.s1)
         pm.restoreRegs(win.s1->regs);
-    for (const auto &[addr, size] : config_.mem_blacklist)
-        pm.blacklistMem(addr, size);
     // Emulated condition flags, where computable. Every conditional
     // branch whose flags are known is cross-checked against the
     // PT-recorded direction: a contradiction proves the window's
@@ -127,24 +263,11 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
         // Erase suspect reconstructions of the enclosing loop body.
         const uint64_t lo = pos > kViolationScope ? pos - kViolationScope
                                                   : 0;
-        auto it = emit.entries.lower_bound(lo * 4);
-        while (it != emit.entries.end() && it->first <= pos * 4 + 3) {
-            const AccessOrigin origin = it->second.origin;
-            if (origin == AccessOrigin::kForward ||
-                origin == AccessOrigin::kBackward) {
-                if (origin == AccessOrigin::kForward)
-                    --stats_.recovered_forward;
-                else
-                    --stats_.recovered_backward;
-                it = emit.entries.erase(it);
-            } else {
-                ++it;
-            }
-        }
+        emit.eraseRecovered(lo * 4, pos * 4 + 3, stats);
         // Invalidate the registers behind the contradiction.
-        for (unsigned r = 0; r < isa::kNumGprs; ++r) {
-            if ((flag_src_mask >> r) & 1u)
-                pm.invalidateReg(isa::gprFromIndex(r));
+        for (uint16_t m = flag_src_mask; m; m &= m - 1) {
+            pm.invalidateReg(
+                isa::gprFromIndex(static_cast<unsigned>(std::countr_zero(m))));
         }
         taint &= static_cast<uint16_t>(~flag_src_mask);
     };
@@ -181,7 +304,7 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             // the fact silently (and is untainted by it).
             if (!reg_tainted(fact.reg) && pm.regAvailable(fact.reg) &&
                 pm.regValue(fact.reg) != fact.val) {
-                ++stats_.violations_fact;
+                ++stats.violations_fact;
                 violation(pos);
             }
             pm.setReg(fact.reg, fact.val);
@@ -213,29 +336,22 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
 
         auto emit_access = [&](unsigned slot, uint64_t addr, uint8_t width,
                                bool is_write, bool atomic, bool rip_rel) {
-            ReconstructedAccess acc;
-            acc.tid = win.tid;
-            acc.position = pos;
-            acc.insn_index = idx;
-            acc.addr = addr;
-            acc.width = width;
-            acc.is_write = is_write;
-            acc.is_atomic = atomic;
-            acc.origin = origin_for(rip_rel);
-            if (emit.add(pos, slot, acc)) {
-                switch (acc.origin) {
+            const AccessOrigin origin = origin_for(rip_rel);
+            if (emit.add({pos * 4 + slot, addr, width, is_write, atomic,
+                          origin})) {
+                switch (origin) {
                   case AccessOrigin::kSampled:
-                    ++stats_.sampled;
+                    ++stats.sampled;
                     break;
                   case AccessOrigin::kPcRelative:
-                    ++stats_.recovered_pcrel;
-                    ++stats_.recovered_forward;
+                    ++stats.recovered_pcrel;
+                    ++stats.recovered_forward;
                     break;
                   case AccessOrigin::kForward:
-                    ++stats_.recovered_forward;
+                    ++stats.recovered_forward;
                     break;
                   case AccessOrigin::kBackward:
-                    ++stats_.recovered_backward;
+                    ++stats.recovered_backward;
                     break;
                   default:
                     break;
@@ -248,12 +364,13 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
         auto note_hint = [&]() {
             if (!hints_out)
                 return;
-            for (unsigned r = 0; r < isa::kNumGprs; ++r) {
-                const Reg reg = isa::gprFromIndex(r);
-                // Tainted registers are invisible here: the backward
-                // scan must see exactly the stock forward knowledge.
-                if (pm.regAvailable(reg) && !((taint >> r) & 1u))
-                    hints_out->push_back({pos, reg, pm.regValue(reg)});
+            // Tainted registers are invisible here: the backward scan
+            // must see exactly the stock forward knowledge.
+            for (uint16_t m = pm.availMask() & static_cast<uint16_t>(~taint);
+                 m; m &= m - 1) {
+                const Reg reg = isa::gprFromIndex(
+                    static_cast<unsigned>(std::countr_zero(m)));
+                hints_out->push_back({pos, reg, pm.regValue(reg)});
             }
         };
 
@@ -263,17 +380,10 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
         // nothing in any feed writes that granule).
         auto emit_constant = [&](unsigned slot, uint64_t addr,
                                  uint8_t width, bool atomic) {
-            ReconstructedAccess acc;
-            acc.tid = win.tid;
-            acc.position = pos;
-            acc.insn_index = idx;
-            acc.addr = addr;
-            acc.width = width;
-            acc.is_write = false;
-            acc.is_atomic = atomic;
-            acc.origin = AccessOrigin::kConstant;
-            if (emit.add(pos, slot, acc))
-                ++stats_.recovered_constant;
+            if (emit.add({pos * 4 + slot, addr, width, false, atomic,
+                          AccessOrigin::kConstant})) {
+                ++stats.recovered_constant;
+            }
         };
 
         uint16_t taint_new = 0;
@@ -339,7 +449,7 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
                                                      flags_value);
                 const bool actual = path.insns[pos + 1] == insn.target;
                 if (expected != actual) {
-                    ++stats_.violations_branch;
+                    ++stats.violations_branch;
                     violation(pos);
                     flags_known = false;
                 }
@@ -391,7 +501,7 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             if (is_sample) {
                 if (auto ea = try_ea(insn.mem);
                     ea && !mem_tainted(insn.mem) && *ea != addr) {
-                    ++stats_.violations_sample;
+                    ++stats.violations_sample;
                     violation(pos);
                 }
             }
@@ -817,11 +927,7 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             taint_new);
     }
 
-    // consumedAddresses() is rebuilt from the per-page consumed bitmaps,
-    // so materialize it once per pass.
-    const std::unordered_set<uint64_t> consumed = pm.consumedAddresses();
-    consumed_.insert(consumed.begin(), consumed.end());
-    stats_.program_map.merge(pm.memStats());
+    stats.program_map.merge(pm.memStats());
 
     if (win.s2) {
         for (unsigned r = 0; r < isa::kNumGprs; ++r) {
@@ -832,9 +938,33 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
                 continue;
             if (pm.regAvailable(reg) &&
                 pm.regValue(reg) != win.s2->regs.gpr[r]) {
-                ++stats_.violations_end;
+                ++stats.violations_end;
                 violation(win.end ? win.end - 1 : 0);
             }
+        }
+    }
+    emit.endPass();
+    stats.forward_seconds += timer.seconds();
+}
+
+void
+Replayer::buildRunStarts(const Window &win, const pmu::ThreadPath &path,
+                         Scratch &s) const
+{
+    // Once per window: every backward round of the window reads it.
+    // A saturated distance only shortens a skip, which stays sound.
+    s.run_back.resize(win.end - win.start);
+    for (uint64_t rel = 0; rel < s.run_back.size(); ++rel) {
+        const uint64_t p = win.start + rel;
+        const uint32_t i = path.insns[p];
+        s.run_back[rel] = 0;
+        if (rel == 0 || i == kPathGap)
+            continue;
+        const uint32_t prev = path.insns[p - 1];
+        if (prev != kPathGap && prev + 1 == i &&
+            program_.blockOf(prev) == program_.blockOf(i) &&
+            s.run_back[rel - 1] < UINT32_MAX) {
+            s.run_back[rel] = s.run_back[rel - 1] + 1;
         }
     }
 }
@@ -842,48 +972,45 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
 void
 Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
                        const FactList &hints, FactList &facts_out,
-                       bool *consistent_out)
+                       bool *consistent_out, Scratch &s) const
 {
+    const Stopwatch timer;
+    ReplayStats &stats = s.stats;
     size_t hint_cursor = hints.size(); // consumed in descending order
 
     PRORACE_ASSERT(win.s2, "backward scan requires an ending sample");
-    // K[r]: value of register r at the *pre-state* of the current
-    // position, where known.
-    std::array<std::optional<uint64_t>, isa::kNumGprs> know;
-    for (unsigned r = 0; r < isa::kNumGprs; ++r)
-        know[r] = win.s2->regs.gpr[r];
-
-    auto record_fact = [&](uint64_t pos, Reg reg, uint64_t value) {
-        if (pos >= win.end)
-            return;
-        facts_out.push_back({pos, reg, value});
+    // Knowledge of the *pre-state* of the current position: register r
+    // holds value[r] where bit r of `known` is set.
+    std::array<uint64_t, isa::kNumGprs> value = win.s2->regs.gpr;
+    uint16_t known = 0xffff;
+    auto is_known = [](uint16_t mask, Reg r) {
+        return (mask >> gprIndex(r)) & 1u;
+    };
+    auto learn = [&](Reg r, uint64_t v) {
+        value[gprIndex(r)] = v;
+        known |= static_cast<uint16_t>(1u << gprIndex(r));
     };
 
-    // Fast path over straight-line block runs: run_start[rel] is the
-    // lowest position of the maximal same-block consecutive-index run
-    // containing position win.start + rel. When the whole block's kill
-    // mask misses every known register, no instruction of the run can
-    // record a fact, invert, learn, or contradict anything — the scan
-    // state is provably unchanged across the run, so it is skipped in
-    // one step (down to the nearest forward hint, which still must be
-    // merged).
-    const analysis::ProgramAnalysis *pa = config_.analysis;
-    std::vector<uint64_t> run_start;
-    if (pa && win.end > win.start) {
-        run_start.resize(win.end - win.start);
-        for (uint64_t rel = 0; rel < run_start.size(); ++rel) {
-            const uint64_t p = win.start + rel;
-            const uint32_t i = path.insns[p];
-            run_start[rel] = p;
-            if (rel == 0 || i == kPathGap)
-                continue;
-            const uint32_t prev = path.insns[p - 1];
-            if (prev != kPathGap && prev + 1 == i &&
-                program_.blockOf(prev) == program_.blockOf(i)) {
-                run_start[rel] = run_start[rel - 1];
-            }
+    auto record_fact = [&](uint64_t pos, Reg reg, uint64_t v) {
+        if (pos >= win.end)
+            return;
+        facts_out.push_back({pos, reg, v});
+    };
+    // Record the registers of @p mask, in register order.
+    auto record_known = [&](uint64_t pos, uint16_t mask) {
+        for (; mask; mask &= mask - 1) {
+            const unsigned r = static_cast<unsigned>(std::countr_zero(mask));
+            record_fact(pos, isa::gprFromIndex(r), value[r]);
         }
-    }
+    };
+
+    // Fast path over straight-line block runs (Scratch::run_back).
+    // When the whole block's kill mask misses every known register, no
+    // instruction of the run can record a fact, invert, learn, or
+    // contradict anything — the scan state is provably unchanged
+    // across the run, so it is skipped in one step (down to the nearest
+    // forward hint, which still must be merged).
+    const analysis::ProgramAnalysis *pa = config_.analysis;
 
     // Registers that survive all the way to the window end are injected
     // wherever their validity begins; writes terminate validity.
@@ -892,23 +1019,14 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
         if (idx == kPathGap) {
             // Unknown code: nothing is known before this point; inject
             // the survivors right after the gap.
-            for (unsigned r = 0; r < isa::kNumGprs; ++r) {
-                if (know[r]) {
-                    record_fact(pp + 1, isa::gprFromIndex(r), *know[r]);
-                    know[r] = std::nullopt;
-                }
-            }
+            record_known(pp + 1, known);
+            known = 0;
             continue;
         }
         if (pa) {
-            const uint64_t run_lo = run_start[pp - win.start];
-            uint16_t known_mask = 0;
-            for (unsigned r = 0; r < isa::kNumGprs; ++r) {
-                if (know[r])
-                    known_mask |= static_cast<uint16_t>(1u << r);
-            }
+            const uint64_t run_lo = pp - s.run_back[pp - win.start];
             if (run_lo < pp &&
-                (known_mask & pa->blockKill(program_.blockOf(idx))) == 0) {
+                (known & pa->blockKill(program_.blockOf(idx))) == 0) {
                 // Stop early at the highest pending hint in the run so
                 // its merge into the known set is not lost.
                 size_t c = hint_cursor;
@@ -928,17 +1046,13 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
         const uint16_t wmask = pa ? pa->facts(idx).kill
                                   : regWriteMask(insn);
 
-        std::array<std::optional<uint64_t>, isa::kNumGprs> next = know;
         // Default: a write makes the pre-state unknown; the surviving
         // post-state value is injected just after the write (backward
-        // propagation, §5.2.1).
-        for (unsigned r = 0; r < isa::kNumGprs; ++r) {
-            if ((wmask >> r) & 1u) {
-                if (know[r])
-                    record_fact(pp + 1, isa::gprFromIndex(r), *know[r]);
-                next[r] = std::nullopt;
-            }
-        }
+        // propagation, §5.2.1). Values stay in place, so `post` and
+        // `value` still describe the post-state until a learn().
+        const uint16_t post = known;
+        record_known(pp + 1, known & wmask);
+        known &= static_cast<uint16_t>(~wmask);
 
         // Reverse execution (§5.2.2): invert what can be inverted and
         // learn operands from copies.
@@ -948,81 +1062,78 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
             // a derived value that contradicts it means the closing
             // sample was matched to the wrong path position, and the
             // whole window is suspect.
-            if (know[gprIndex(insn.dst)] &&
-                *know[gprIndex(insn.dst)] !=
+            if (is_known(post, insn.dst) &&
+                value[gprIndex(insn.dst)] !=
                     static_cast<uint64_t>(insn.imm) &&
                 consistent_out) {
-                ++stats_.violations_backward;
+                ++stats.violations_backward;
                 *consistent_out = false;
             }
             break;
           case Op::kLea:
             if (insn.mem.rip_relative) {
-                if (know[gprIndex(insn.dst)] &&
-                    *know[gprIndex(insn.dst)] !=
+                if (is_known(post, insn.dst) &&
+                    value[gprIndex(insn.dst)] !=
                         static_cast<uint64_t>(insn.mem.disp) &&
                     consistent_out) {
-                    ++stats_.violations_backward;
+                    ++stats.violations_backward;
                     *consistent_out = false;
                 }
                 break;
             }
             // dst_post = base_pre + disp (single-base operands only).
-            if (know[gprIndex(insn.dst)] &&
-                insn.mem.base != Reg::none &&
+            if (is_known(post, insn.dst) && insn.mem.base != Reg::none &&
                 insn.mem.index == Reg::none) {
-                const uint64_t base_pre = *know[gprIndex(insn.dst)] -
+                const uint64_t base_pre = value[gprIndex(insn.dst)] -
                     static_cast<uint64_t>(insn.mem.disp);
-                if (!next[gprIndex(insn.mem.base)]) {
-                    next[gprIndex(insn.mem.base)] = base_pre;
+                if (!is_known(known, insn.mem.base)) {
+                    learn(insn.mem.base, base_pre);
                     record_fact(pp, insn.mem.base, base_pre);
                 }
             }
             break;
           case Op::kAluRI:
-            if (invertibleAlu(insn.alu) && know[gprIndex(insn.dst)]) {
+            if (invertibleAlu(insn.alu) && is_known(post, insn.dst)) {
                 uint64_t pre = 0;
-                if (isa::invertAlu(insn.alu, *know[gprIndex(insn.dst)],
+                if (isa::invertAlu(insn.alu, value[gprIndex(insn.dst)],
                                    static_cast<uint64_t>(insn.imm), pre)) {
-                    next[gprIndex(insn.dst)] = pre;
+                    learn(insn.dst, pre);
                 }
             }
             break;
           case Op::kAluRR:
             if (invertibleAlu(insn.alu) && insn.src != insn.dst &&
-                know[gprIndex(insn.dst)] && know[gprIndex(insn.src)]) {
+                is_known(post, insn.dst) && is_known(post, insn.src)) {
                 uint64_t pre = 0;
-                if (isa::invertAlu(insn.alu, *know[gprIndex(insn.dst)],
-                                   *know[gprIndex(insn.src)], pre)) {
-                    next[gprIndex(insn.dst)] = pre;
+                if (isa::invertAlu(insn.alu, value[gprIndex(insn.dst)],
+                                   value[gprIndex(insn.src)], pre)) {
+                    learn(insn.dst, pre);
                 }
             }
             break;
           case Op::kMovRR:
             // dst_post == src_pre == src_post: learn the source.
-            if (know[gprIndex(insn.dst)] && insn.src != insn.dst) {
-                if (!next[gprIndex(insn.src)]) {
-                    next[gprIndex(insn.src)] = *know[gprIndex(insn.dst)];
-                    record_fact(pp, insn.src, *know[gprIndex(insn.dst)]);
-                }
+            if (is_known(post, insn.dst) && insn.src != insn.dst &&
+                !is_known(known, insn.src)) {
+                const uint64_t v = value[gprIndex(insn.dst)];
+                learn(insn.src, v);
+                record_fact(pp, insn.src, v);
             }
             break;
           case Op::kPush:
           case Op::kCall:
           case Op::kCallInd:
-            if (know[gprIndex(Reg::rsp)])
-                next[gprIndex(Reg::rsp)] = *know[gprIndex(Reg::rsp)] + 8;
+            if (is_known(post, Reg::rsp))
+                learn(Reg::rsp, value[gprIndex(Reg::rsp)] + 8);
             break;
           case Op::kPop:
           case Op::kRet:
-            if (know[gprIndex(Reg::rsp)])
-                next[gprIndex(Reg::rsp)] = *know[gprIndex(Reg::rsp)] - 8;
+            if (is_known(post, Reg::rsp))
+                learn(Reg::rsp, value[gprIndex(Reg::rsp)] - 8);
             break;
           default:
             break;
         }
-
-        know = next;
 
         // Forward hints: registers the previous forward pass knew at
         // this position extend the backward knowledge (fixed-point
@@ -1032,23 +1143,24 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
         for (size_t i = hint_cursor; i > 0 && hints[i - 1].pos == pp;
              --i) {
             const ReplayFact &hint = hints[i - 1];
-            if (!know[gprIndex(hint.reg)])
-                know[gprIndex(hint.reg)] = hint.val;
+            if (!is_known(known, hint.reg))
+                learn(hint.reg, hint.val);
         }
     }
 
     // Survivors reach the window start.
-    for (unsigned r = 0; r < isa::kNumGprs; ++r) {
-        if (know[r])
-            record_fact(win.start, isa::gprFromIndex(r), *know[r]);
-    }
+    record_known(win.start, known);
+    stats.backward_seconds += timer.seconds();
 }
 
-Replayer::EmitMap
+Replayer::WindowResult
 Replayer::replayWindow(const Window &win, const pmu::ThreadPath &path,
-                       const trace::RunTrace &run)
+                       Scratch &s) const
 {
-    ++stats_.windows;
+    s.stats = ReplayStats();
+    s.emit.clear();
+    ReplayStats &stats = s.stats;
+    ++stats.windows;
     // Reconstruct into a window-local buffer. Consistency violations
     // (branch directions or known immediates contradicting the replayed
     // state, forward/backward disagreement, closing-sample mismatch)
@@ -1057,83 +1169,96 @@ Replayer::replayWindow(const Window &win, const pmu::ThreadPath &path,
     // events are dropped whenever the backward side is implicated —
     // FastTrack's no-false-positive guarantee is worth more than the
     // extra coverage.
-    EmitMap emit;
     bool fwd_ok = true;
     uint64_t fwd_bad_pos = ~0ull;
     bool bwd_ok = true;
 
     if (config_.mode == ReplayMode::kForwardOnly || !win.s2) {
-        forwardPass(win, path, run, {}, AccessOrigin::kForward, emit,
-                    nullptr, &fwd_ok, &fwd_bad_pos);
+        forwardPass(win, path, {}, AccessOrigin::kForward, s, nullptr,
+                    &fwd_ok, &fwd_bad_pos);
     } else {
         // Round 0: plain forward replay; collects hints at unresolved
         // memory instructions and classifies forward-recoverable
         // accesses.
-        FactList hints;
-        forwardPass(win, path, run, {}, AccessOrigin::kForward, emit,
-                    &hints, &fwd_ok, &fwd_bad_pos);
+        FactList &hints = s.hints;
+        hints.clear();
+        forwardPass(win, path, {}, AccessOrigin::kForward, s, &hints,
+                    &fwd_ok, &fwd_bad_pos);
 
+        if (config_.analysis && config_.max_backward_rounds > 0) {
+            const Stopwatch timer;
+            buildRunStarts(win, path, s);
+            stats.backward_seconds += timer.seconds();
+        }
         auto by_pos = [](const ReplayFact &a, const ReplayFact &b) {
             return a.pos < b.pos;
         };
-        size_t emitted = emit.entries.size();
+        size_t emitted = s.emit.size();
         for (int round = 0; round < config_.max_backward_rounds; ++round) {
-            ++stats_.backward_rounds;
-            FactList facts;
-            backwardScan(win, path, hints, facts, &bwd_ok);
+            ++stats.backward_rounds;
+            FactList &facts = s.facts;
+            facts.clear();
+            backwardScan(win, path, hints, facts, &bwd_ok, s);
             if (facts.empty())
                 break;
             std::stable_sort(facts.begin(), facts.end(), by_pos);
             hints.clear();
             bool mixed_ok = true;
             uint64_t mixed_bad_pos = ~0ull;
-            forwardPass(win, path, run, facts, AccessOrigin::kBackward,
-                        emit, &hints, &mixed_ok, &mixed_bad_pos);
+            forwardPass(win, path, facts, AccessOrigin::kBackward, s,
+                        &hints, &mixed_ok, &mixed_bad_pos);
             if (!mixed_ok && mixed_bad_pos < fwd_bad_pos) {
                 // A violation in a region the plain forward pass had
                 // validated implicates the injected backward facts.
                 bwd_ok = false;
             }
-            if (emit.entries.size() == emitted)
+            if (s.emit.size() == emitted)
                 break;
-            emitted = emit.entries.size();
+            emitted = s.emit.size();
         }
     }
 
     if (!fwd_ok || !bwd_ok)
-        ++stats_.inconsistent_windows;
+        ++stats.inconsistent_windows;
 
-    for (auto it = emit.entries.begin(); it != emit.entries.end();) {
-        const ReconstructedAccess &acc = it->second;
+    WindowResult res;
+    res.accesses.reserve(s.emit.size());
+    for (const EmitBuffer::Entry &e : s.emit.entries()) {
         // PC-relative addresses derive from the PT path alone and
         // sampled accesses from the hardware record; both always
         // survive.
         bool keep = true;
-        switch (acc.origin) {
+        switch (e.origin) {
           case AccessOrigin::kForward:
-            keep = acc.position < fwd_bad_pos;
+            keep = e.position() < fwd_bad_pos;
             break;
           case AccessOrigin::kBackward:
-            keep = bwd_ok && acc.position < fwd_bad_pos;
+            keep = bwd_ok && e.position() < fwd_bad_pos;
             break;
           default:
             break;
         }
         if (keep) {
-            ++it;
-            continue;
+            res.accesses.push_back(
+                e.toAccess(win.tid, path.insns[e.position()]));
+        } else if (e.origin == AccessOrigin::kForward) {
+            --stats.recovered_forward;
+        } else {
+            --stats.recovered_backward;
         }
-        if (acc.origin == AccessOrigin::kForward)
-            --stats_.recovered_forward;
-        else
-            --stats_.recovered_backward;
-        it = emit.entries.erase(it);
     }
-    return emit;
+
+    std::vector<MemSpan> &log = s.pm.consumedLog();
+    dedupe(log);
+    res.consumed.assign(log.begin(), log.end());
+    log.clear();
+    res.stats = stats;
+    s.trim();
+    return res;
 }
 
 void
-Replayer::replayBasicBlock(const trace::PebsRecord &rec, EmitMap &emit)
+Replayer::replayBasicBlock(const trace::PebsRecord &rec, Scratch &s) const
 {
     const uint32_t block = program_.blockOf(rec.insn_index);
     const uint32_t begin = program_.blockBegin(block);
@@ -1154,15 +1279,16 @@ Replayer::replayBasicBlock(const trace::PebsRecord &rec, EmitMap &emit)
     fwd.end = bb_path.insns.size();
     fwd.s1 = &rec;
     bool consistent = true;
-    forwardPass(fwd, bb_path, {}, {}, AccessOrigin::kForward, emit,
-                nullptr, &consistent, nullptr);
+    forwardPass(fwd, bb_path, {}, AccessOrigin::kForward, s, nullptr,
+                &consistent, nullptr);
 
     // Trivial backward propagation: registers not written between a
     // block position and the sample hold their sampled values there
     // (RaceZ's single-basic-block scheme).
     if (sample_pos > 0) {
         const analysis::ProgramAnalysis *pa = config_.analysis;
-        FactList facts;
+        FactList &facts = s.facts;
+        facts.clear();
         uint16_t written = 0;
         std::vector<uint16_t> mask_from(sample_pos);
         for (uint64_t p = sample_pos; p-- > 0;) {
@@ -1182,7 +1308,7 @@ Replayer::replayBasicBlock(const trace::PebsRecord &rec, EmitMap &emit)
         bwd.tid = rec.tid;
         bwd.start = 0;
         bwd.end = sample_pos;
-        forwardPass(bwd, bb_path, {}, facts, AccessOrigin::kForward, emit,
+        forwardPass(bwd, bb_path, facts, AccessOrigin::kForward, s,
                     nullptr, nullptr, nullptr);
     }
 }
@@ -1247,40 +1373,28 @@ Replayer::buildWindows(
 }
 
 void
-Replayer::finalizeThread(const pmu::ThreadPath &path,
-                         const ThreadAlignment &alignment,
-                         const trace::RunTrace &run, EmitMap &emit,
-                         std::vector<ReconstructedAccess> &out)
+Replayer::addConsumed(const std::vector<MemSpan> &spans)
 {
-    for (auto &[key, acc] : emit.entries) {
-        acc.tsc = alignment.tscAt(acc.position);
-        out.push_back(acc);
+    consumed_log_.insert(consumed_log_.end(), spans.begin(), spans.end());
+    // Windows repeat each other's spans (stack slots, hot globals):
+    // compact whenever the log has doubled, so it stays within twice
+    // its distinct size.
+    if (consumed_log_.size() >= 2 * compacted_size_ + 4096) {
+        dedupe(consumed_log_);
+        compacted_size_ = consumed_log_.size();
     }
+}
 
-    // Samples that could not be located on the path (typically taken
-    // inside untraced library code) still carry an exact access.
-    std::unordered_set<size_t> matched;
-    for (const AlignedSample &s : alignment.samples)
-        matched.insert(s.record_index);
-    for (size_t i = 0; i < run.pebs.size(); ++i) {
-        const trace::PebsRecord &rec = run.pebs[i];
-        if (rec.tid != path.tid || matched.count(i))
-            continue;
-        ReconstructedAccess acc;
-        acc.tid = rec.tid;
-        acc.insn_index = rec.insn_index;
-        acc.addr = rec.addr;
-        acc.width = rec.width;
-        acc.is_write = rec.is_write;
-        acc.is_atomic = rec.is_atomic;
-        acc.tsc = rec.tsc;
-        acc.origin = detect::AccessOrigin::kSampled;
-        // Position is unknown; use the nearest path position by time so
-        // the detector's same-thread ordering stays sane.
-        acc.position = 0;
-        ++stats_.sampled;
-        out.push_back(acc);
+void
+Replayer::finishConsumed()
+{
+    dedupe(consumed_log_);
+    for (const MemSpan &span : consumed_log_) {
+        for (unsigned i = 0; i < span.width; ++i)
+            consumed_.insert(span.addr + i);
     }
+    consumed_log_ = {};
+    compacted_size_ = 0;
 }
 
 std::vector<ReconstructedAccess>
@@ -1293,22 +1407,30 @@ Replayer::replayAll(const std::map<uint32_t, pmu::ThreadPath> &paths,
     if (config_.mode == ReplayMode::kBasicBlock) {
         // RaceZ does not use PT: every sample is reconstructed within
         // its static basic block, ordered by sample time.
+        const std::unique_ptr<Scratch> s = makeScratch();
         for (const trace::PebsRecord &rec : run.pebs) {
-            EmitMap emit;
-            replayBasicBlock(rec, emit);
-            for (auto &[key, acc] : emit.entries) {
+            s->emit.clear();
+            replayBasicBlock(rec, *s);
+            const uint32_t begin =
+                program_.blockBegin(program_.blockOf(rec.insn_index));
+            const int64_t sample_pos =
+                static_cast<int64_t>(rec.insn_index - begin);
+            for (const EmitBuffer::Entry &e : s->emit.entries()) {
                 // Order accesses around the sample's timestamp while
                 // preserving intra-block program order.
-                const int64_t delta =
-                    static_cast<int64_t>(acc.position) -
-                    static_cast<int64_t>(rec.insn_index -
-                                         program_.blockBegin(
-                                             program_.blockOf(
-                                                 rec.insn_index)));
-                acc.tsc = rec.tsc + delta;
+                ReconstructedAccess acc = e.toAccess(
+                    rec.tid, begin + static_cast<uint32_t>(e.position()));
+                acc.tsc = rec.tsc +
+                    (static_cast<int64_t>(acc.position) - sample_pos);
                 out.push_back(acc);
             }
+            std::vector<MemSpan> &log = s->pm.consumedLog();
+            dedupe(log);
+            addConsumed(log);
+            log.clear();
         }
+        stats_.merge(s->stats);
+        finishConsumed();
         sortByTsc(out);
         return out;
     }
@@ -1337,20 +1459,39 @@ Replayer::replayAll(const std::map<uint32_t, pmu::ThreadPath> &paths,
         }
     }
 
-    // A window replays on its own Replayer, so one that throws leaves
-    // no partial stats, consumed bytes or emits behind.
-    using Outcome = std::optional<std::pair<Replayer, EmitMap>>;
+    // Each thread's PEBS records in record order, bucketed once; a
+    // thread's unmatched ones follow its windows' accesses.
+    std::map<uint32_t, std::vector<size_t>> records_of;
+    for (size_t i = 0; i < run.pebs.size(); ++i)
+        records_of[run.pebs[i].tid].push_back(i);
+    std::vector<char> matched(run.pebs.size(), 0);
+
+    // Worker states are leased from a pool, so windows reuse program
+    // maps and buffers; a window that throws drops its state, and its
+    // partial stats, consumed spans and emits with it.
+    using Outcome = std::optional<WindowResult>;
+    std::mutex pool_mutex;
+    std::vector<std::unique_ptr<Scratch>> pool;
     auto replay = [&](const Job &job) -> Outcome {
         try {
-            Replayer window(program_, config_);
-            EmitMap emit = window.replayWindow(job.window, *job.path, run);
-            return Outcome(std::in_place, std::move(window),
-                           std::move(emit));
+            std::unique_ptr<Scratch> s;
+            {
+                const std::lock_guard<std::mutex> lock(pool_mutex);
+                if (!pool.empty()) {
+                    s = std::move(pool.back());
+                    pool.pop_back();
+                }
+            }
+            if (!s)
+                s = makeScratch();
+            Outcome res(replayWindow(job.window, *job.path, *s));
+            const std::lock_guard<std::mutex> lock(pool_mutex);
+            pool.push_back(std::move(s));
+            return res;
         } catch (...) {
             return std::nullopt;
         }
     };
-    EmitMap thread_emit;
     auto commit = [&](const Job &job, Outcome outcome) {
         if (!outcome) {
             // Quarantine policy: retry a failed window once (transient
@@ -1359,22 +1500,37 @@ Replayer::replayAll(const std::map<uint32_t, pmu::ThreadPath> &paths,
             // is bounded by the window's path slice, so windows cannot
             // hang and no timeout is needed.
             ++stats_.window_retries;
-            if (Outcome retry = replay(job))
-                outcome.emplace(std::move(*retry));
-            else
+            outcome = replay(job);
+            if (!outcome)
                 ++stats_.windows_quarantined;
         }
         if (outcome) {
-            stats_.merge(outcome->first.stats_);
-            consumed_.merge(outcome->first.consumed_);
-            // Window ranges are disjoint, so no key is merged twice.
-            thread_emit.entries.merge(outcome->second.entries);
+            stats_.merge(outcome->stats);
+            addConsumed(outcome->consumed);
+            for (ReconstructedAccess &acc : outcome->accesses) {
+                acc.tsc = job.alignment->tscAt(acc.position);
+                out.push_back(acc);
+            }
         }
-        if (job.last_of_thread) {
-            finalizeThread(*job.path, *job.alignment, run, thread_emit,
-                           out);
-            thread_emit.entries.clear();
+        if (!job.last_of_thread)
+            return;
+        // Samples that could not be located on the path (typically
+        // taken inside untraced library code) still carry an exact
+        // access. Their path position is unknown: they get position 0.
+        const uint32_t tid = job.path->tid;
+        auto bucket = records_of.find(tid);
+        if (bucket == records_of.end())
+            return;
+        for (const AlignedSample &sample : job.alignment->samples)
+            matched[sample.record_index] = 1;
+        for (const size_t i : bucket->second) {
+            if (matched[i])
+                continue;
+            ++stats_.sampled;
+            out.push_back(sampleAccess(run.pebs[i]));
         }
+        for (const AlignedSample &sample : job.alignment->samples)
+            matched[sample.record_index] = 0;
     };
 
     if (!ex) {
@@ -1417,19 +1573,11 @@ Replayer::replayAll(const std::map<uint32_t, pmu::ThreadPath> &paths,
     for (const trace::PebsRecord &rec : run.pebs) {
         if (paths.count(rec.tid))
             continue;
-        ReconstructedAccess acc;
-        acc.tid = rec.tid;
-        acc.insn_index = rec.insn_index;
-        acc.addr = rec.addr;
-        acc.width = rec.width;
-        acc.is_write = rec.is_write;
-        acc.is_atomic = rec.is_atomic;
-        acc.tsc = rec.tsc;
-        acc.origin = AccessOrigin::kSampled;
         ++stats_.sampled;
-        out.push_back(acc);
+        out.push_back(sampleAccess(rec));
     }
 
+    finishConsumed();
     sortByTsc(out);
     return out;
 }

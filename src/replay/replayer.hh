@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -90,6 +91,15 @@ struct ReplayStats {
     /** Paged-ProgramMap shadow counters, summed over all replay passes. */
     ProgramMapStats program_map;
 
+    /**
+     * Time in forward passes and in backward scans (with their block-run
+     * set-up), summed over windows: CPU seconds across all workers when
+     * windows replay on an executor. Timers, unlike the counters above,
+     * differ from run to run.
+     */
+    double forward_seconds = 0;
+    double backward_seconds = 0;
+
     uint64_t
     totalAccesses() const
     {
@@ -121,6 +131,8 @@ struct ReplayStats {
         window_retries += o.window_retries;
         windows_quarantined += o.windows_quarantined;
         program_map.merge(o.program_map);
+        forward_seconds += o.forward_seconds;
+        backward_seconds += o.backward_seconds;
     }
 
     /** Recovered+sampled accesses per sampled access (paper Fig 11). */
@@ -177,9 +189,10 @@ class Replayer
      * The inter-sample windows of every thread, in ascending-tid then
      * path order, run inline or, with @p ex, as executor tasks whose
      * results are committed in that same order; the trace and the
-     * statistics are identical either way. Each window replays on its
-     * own Replayer, so a window that throws contributes nothing: it is
-     * retried once and then quarantined (ReplayStats::window_retries,
+     * statistics are identical either way. A window collects its
+     * stats, consumed spans and accesses apart from the run's, so a
+     * window that throws contributes nothing: it is retried once and
+     * then quarantined (ReplayStats::window_retries,
      * windows_quarantined), and its samples reach the trace through
      * the unlocatable-sample fallback.
      */
@@ -198,16 +211,77 @@ class Replayer
     }
 
   private:
-    /** Deduplicating per-window emission buffer keyed by (position, slot). */
-    struct EmitMap {
-        std::map<uint64_t, ReconstructedAccess> entries;
+    /**
+     * Per-window emission buffer, deduplicated by (position, slot) and
+     * kept in that key order. A pass emits in ascending key order: it
+     * appends to a pass-local run and finds an earlier pass's entry for
+     * the same key with a forward cursor; endPass() merges the two in
+     * place. Erased entries stay as tombstones until that merge.
+     */
+    class EmitBuffer
+    {
+      public:
+        /**
+         * An emitted access without what its window implies: the tid,
+         * and the instruction, which is the path's at the position.
+         */
+        struct Entry {
+            uint64_t key = 0; ///< position * 4 + slot
+            uint64_t addr = 0;
+            uint8_t width = 0;
+            bool is_write = false;
+            bool is_atomic = false;
+            detect::AccessOrigin origin = detect::AccessOrigin::kSampled;
+            bool live = true;
 
-        bool
-        add(uint64_t position, unsigned slot,
-            const ReconstructedAccess &acc)
-        {
-            return entries.try_emplace(position * 4 + slot, acc).second;
-        }
+            uint64_t position() const { return key >> 2; }
+
+            /** As an extended-trace access (tsc still unset). */
+            ReconstructedAccess
+            toAccess(uint32_t tid, uint32_t insn_index) const
+            {
+                ReconstructedAccess acc;
+                acc.tid = tid;
+                acc.position = position();
+                acc.insn_index = insn_index;
+                acc.addr = addr;
+                acc.width = width;
+                acc.is_write = is_write;
+                acc.is_atomic = is_atomic;
+                acc.origin = origin;
+                return acc;
+            }
+        };
+
+        void clear();
+        void beginPass() { cursor_ = 0; }
+
+        /** Add unless the key is present; true when added. */
+        bool add(const Entry &entry);
+
+        /**
+         * Erase the forward- and backward-recovered entries with keys in
+         * [lo_key, hi_key], taking them back out of @p stats.
+         */
+        void eraseRecovered(uint64_t lo_key, uint64_t hi_key,
+                            ReplayStats &stats);
+
+        void endPass();
+
+        /** Live entries. */
+        size_t size() const { return live_; }
+
+        /** All entries in key order, after endPass(). */
+        const std::vector<Entry> &entries() const { return merged_; }
+
+        /** Release storage above @p keep_bytes per buffer. */
+        void trim(size_t keep_bytes);
+
+      private:
+        std::vector<Entry> merged_; ///< earlier passes, key order
+        std::vector<Entry> fresh_;  ///< this pass, key order
+        size_t cursor_ = 0;         ///< into merged_
+        size_t live_ = 0;
     };
 
     /**
@@ -231,6 +305,41 @@ class Replayer
             nullptr;
     };
 
+    /**
+     * Reusable replay state of one worker: the program map (blacklist
+     * applied once) and the buffers of the window being replayed. Only
+     * the window's WindowResult leaves it.
+     */
+    struct Scratch {
+        ProgramMap pm;
+        EmitBuffer emit;
+        FactList hints;
+        FactList facts;
+        /**
+         * run_back[rel]: how far below position window.start + rel the
+         * maximal same-block consecutive-index run containing it begins
+         * (saturating).
+         */
+        std::vector<uint32_t> run_back;
+        ReplayStats stats; ///< the current window's
+
+        /**
+         * Release buffers a long window grew, so that its peak does not
+         * stay resident beside the next window's.
+         */
+        void trim();
+    };
+
+    /** What one window contributes to the run. */
+    struct WindowResult {
+        ReplayStats stats;
+        std::vector<MemSpan> consumed; ///< sorted, without repeats
+        std::vector<ReconstructedAccess> accesses; ///< position order
+    };
+
+    /** A fresh worker state with the configured blacklist applied. */
+    std::unique_ptr<Scratch> makeScratch() const;
+
     /** malloc/spawn sync records mapped to their path positions. */
     static std::map<uint64_t, const trace::SyncRecord *>
     syncAtMap(const ThreadAlignment &alignment,
@@ -248,38 +357,43 @@ class Replayer
                  const std::map<uint64_t,
                                 const trace::SyncRecord *> &sync_at);
 
-    /**
-     * Post-window per-thread work: timestamp the emitted accesses and
-     * append them in position order, then append this thread's
-     * path-unlocatable samples in record order.
-     */
-    void finalizeThread(const pmu::ThreadPath &path,
-                        const ThreadAlignment &alignment,
-                        const trace::RunTrace &run, EmitMap &emit,
-                        std::vector<ReconstructedAccess> &out);
-
     /** Deterministic final ordering of the extended trace. */
     static void sortByTsc(std::vector<ReconstructedAccess> &out);
 
-    /** Forward and backward replay of one window; returns its emits. */
-    EmitMap replayWindow(const Window &win, const pmu::ThreadPath &path,
-                         const trace::RunTrace &run);
+    /** Forward and backward replay of one window. */
+    WindowResult replayWindow(const Window &win,
+                              const pmu::ThreadPath &path,
+                              Scratch &s) const;
 
     void forwardPass(const Window &win, const pmu::ThreadPath &path,
-                     const trace::RunTrace &run, const FactList &facts,
-                     detect::AccessOrigin tag, EmitMap &emit,
-                     FactList *hints_out, bool *consistent_out,
-                     uint64_t *bad_pos_out);
+                     const FactList &facts, detect::AccessOrigin tag,
+                     Scratch &s, FactList *hints_out, bool *consistent_out,
+                     uint64_t *bad_pos_out) const;
 
     void backwardScan(const Window &win, const pmu::ThreadPath &path,
                       const FactList &hints, FactList &facts_out,
-                      bool *consistent_out);
+                      bool *consistent_out, Scratch &s) const;
 
-    void replayBasicBlock(const trace::PebsRecord &rec, EmitMap &emit);
+    /** Fill Scratch::run_back for @p win (static analysis required). */
+    void buildRunStarts(const Window &win, const pmu::ThreadPath &path,
+                        Scratch &s) const;
+
+    void replayBasicBlock(const trace::PebsRecord &rec, Scratch &s) const;
+
+    /**
+     * Fold a window's consumed spans into the run's log, compacting the
+     * log when it has doubled since the last compaction.
+     */
+    void addConsumed(const std::vector<MemSpan> &spans);
+
+    /** Build consumedAddresses() from the run's log, then drop the log. */
+    void finishConsumed();
 
     const asmkit::Program &program_;
     ReplayConfig config_;
     ReplayStats stats_;
+    std::vector<MemSpan> consumed_log_;
+    size_t compacted_size_ = 0;
     std::unordered_set<uint64_t> consumed_;
 };
 

@@ -463,10 +463,31 @@ expectIdenticalReplay(const Program &program, const Fixture &fx)
     ASSERT_EQ(without.size(), with.size());
     for (size_t i = 0; i < without.size(); ++i)
         EXPECT_EQ(keyOf(without[i]), keyOf(with[i])) << "access " << i;
-    EXPECT_EQ(plain.stats().totalAccesses(), fast.stats().totalAccesses());
-    EXPECT_EQ(plain.stats().recovered_backward,
-              fast.stats().recovered_backward);
-    EXPECT_EQ(plain.stats().backward_rounds, fast.stats().backward_rounds);
+
+    // Every counter (the timers differ from run to run by nature).
+    const replay::ReplayStats &a = plain.stats();
+    const replay::ReplayStats &b = fast.stats();
+    EXPECT_EQ(a.sampled, b.sampled);
+    EXPECT_EQ(a.recovered_forward, b.recovered_forward);
+    EXPECT_EQ(a.recovered_backward, b.recovered_backward);
+    EXPECT_EQ(a.recovered_pcrel, b.recovered_pcrel);
+    EXPECT_EQ(a.recovered_constant, b.recovered_constant);
+    EXPECT_EQ(a.windows, b.windows);
+    EXPECT_EQ(a.inconsistent_windows, b.inconsistent_windows);
+    EXPECT_EQ(a.backward_rounds, b.backward_rounds);
+    EXPECT_EQ(a.violations_branch, b.violations_branch);
+    EXPECT_EQ(a.violations_fact, b.violations_fact);
+    EXPECT_EQ(a.violations_sample, b.violations_sample);
+    EXPECT_EQ(a.violations_end, b.violations_end);
+    EXPECT_EQ(a.violations_backward, b.violations_backward);
+    EXPECT_EQ(a.window_retries, b.window_retries);
+    EXPECT_EQ(a.windows_quarantined, b.windows_quarantined);
+    EXPECT_EQ(a.program_map.pages_allocated, b.program_map.pages_allocated);
+    EXPECT_EQ(a.program_map.page_lookups, b.program_map.page_lookups);
+    EXPECT_EQ(a.program_map.cache_hits, b.program_map.cache_hits);
+    EXPECT_EQ(a.program_map.mem_invalidations,
+              b.program_map.mem_invalidations);
+    EXPECT_EQ(plain.consumedAddresses(), fast.consumedAddresses());
 }
 
 TEST(ReplayFastPath, FullTraceIsBitIdentical)

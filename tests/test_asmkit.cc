@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "asmkit/builder.hh"
 #include "asmkit/layout.hh"
+#include "workload/registry.hh"
 
 namespace prorace::asmkit {
 namespace {
@@ -127,6 +130,31 @@ TEST(Program, BasicBlocksSplitAtBranchesAndTargets)
     const uint32_t blk = p.blockOf(2);
     EXPECT_EQ(p.blockBegin(blk), 1u);
     EXPECT_EQ(p.blockEnd(blk), 4u);
+}
+
+TEST(Program, BlockTableMatchesLeaderSearch)
+{
+    // blockOf() reads a per-instruction table; it must agree with the
+    // definition: the last leader at or below the instruction.
+    for (const std::string &name : workload::allWorkloadNames()) {
+        const auto w = workload::findWorkload(name, 0.05);
+        ASSERT_TRUE(w.has_value()) << name;
+        const Program &p = *w->program;
+        std::vector<uint32_t> leaders;
+        for (uint32_t blk = 0; blk < p.numBlocks(); ++blk)
+            leaders.push_back(p.blockBegin(blk));
+        ASSERT_TRUE(std::is_sorted(leaders.begin(), leaders.end()))
+            << name;
+        for (uint32_t i = 0; i < p.size(); ++i) {
+            const auto it =
+                std::upper_bound(leaders.begin(), leaders.end(), i);
+            const auto expected =
+                static_cast<uint32_t>(it - leaders.begin()) - 1;
+            ASSERT_EQ(p.blockOf(i), expected) << name << " insn #" << i;
+            ASSERT_GE(i, p.blockBegin(expected));
+            ASSERT_LT(i, p.blockEnd(expected));
+        }
+    }
 }
 
 TEST(Program, SyncOpsEndBasicBlocks)

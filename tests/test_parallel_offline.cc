@@ -93,6 +93,18 @@ expectEquivalentOnce(const Program &program, const trace::RunTrace &run,
               p.replay_stats.window_retries);
     EXPECT_EQ(s.replay_stats.windows_quarantined,
               p.replay_stats.windows_quarantined);
+    EXPECT_EQ(s.replay_stats.recovered_constant,
+              p.replay_stats.recovered_constant);
+    // Shadow-page counters are per pass, whichever worker's program map
+    // the pass reused.
+    EXPECT_EQ(s.replay_stats.program_map.pages_allocated,
+              p.replay_stats.program_map.pages_allocated);
+    EXPECT_EQ(s.replay_stats.program_map.page_lookups,
+              p.replay_stats.program_map.page_lookups);
+    EXPECT_EQ(s.replay_stats.program_map.cache_hits,
+              p.replay_stats.program_map.cache_hits);
+    EXPECT_EQ(s.replay_stats.program_map.mem_invalidations,
+              p.replay_stats.program_map.mem_invalidations);
 
     // Detection stats (identical feed => identical FastTrack path mix).
     EXPECT_EQ(s.detect_stats.reads, p.detect_stats.reads);

@@ -10,13 +10,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <map>
+#include <string>
 
+#include "analysis/analysis.hh"
 #include "core/offline.hh"
+#include "core/pipeline.hh"
 #include "core/session.hh"
 #include "replay/align.hh"
 #include "replay/replayer.hh"
 #include "testutil.hh"
+#include "workload/registry.hh"
 
 namespace prorace::replay {
 namespace {
@@ -273,6 +279,81 @@ TEST(Replayer, BackwardReplayRecoversPointerChase)
     }
 }
 
+TEST(Replayer, BackwardReplayLearnsRegistersThroughCopies)
+{
+    // Reverse execution learns a register from a later copy of it
+    // (§5.2.2): the chased pointer is copied — by a register move, or
+    // by lea with a displacement — and then overwritten, so the next
+    // sample holds only the copy, and load B is recovered backward
+    // only by learning the pointer back through the copy.
+    for (const bool use_lea : {false, true}) {
+        SCOPED_TRACE(use_lea ? "lea" : "mov");
+        asmkit::ProgramBuilder b;
+        b.global("slots", 64 * 8);
+        b.globalU64("sink", 0);
+        b.label("main");
+        b.movri(Reg::rcx, 0);
+        b.lea(Reg::r15, b.symRef("slots"));
+        b.label("loop");
+        b.movrr(Reg::rax, Reg::rcx);
+        b.aluri(AluOp::kAnd, Reg::rax, 7);
+        b.load(Reg::rsi, MemOperand::baseIndex(Reg::r15, Reg::rax, 8));
+        const uint32_t insn_b =
+            b.load(Reg::rdx, MemOperand::baseDisp(Reg::rsi, 8)); // B
+        if (use_lea)
+            b.lea(Reg::rdi, MemOperand::baseDisp(Reg::rsi, 16));
+        else
+            b.movrr(Reg::rdi, Reg::rsi);
+        b.movri(Reg::rsi, 0);
+        b.store(b.symRef("sink"), Reg::rdx);
+        b.addri(Reg::rcx, 1);
+        b.cmpri(Reg::rcx, 4000);
+        b.jcc(CondCode::kLt, "loop");
+        b.halt();
+        asmkit::Program program = b.build();
+
+        vm::MachineConfig mcfg;
+        mcfg.seed = 7;
+        mcfg.record_memory_log = true;
+        driver::TraceConfig tcfg;
+        tcfg.pebs_period = 101;
+        vm::Machine machine(program, mcfg);
+        const uint64_t slots = program.symbol("slots").addr;
+        for (int i = 0; i < 8; ++i)
+            machine.memory().write(slots + 8 * i, slots + 256 + 32 * i, 8);
+        driver::TracingSession tracing(tcfg, mcfg.num_cores);
+        machine.setObserver(&tracing);
+        machine.addThread("main");
+        machine.run();
+        trace::RunTrace trace = tracing.finish();
+        trace.meta.threads.push_back({0, machine.thread(0).entry_ip});
+        std::map<std::pair<uint32_t, uint64_t>,
+                 std::vector<vm::MemoryLogEntry>> oracle;
+        for (const auto &e : machine.memoryLog())
+            oracle[{e.tid, e.retire_index}].push_back(e);
+
+        auto paths = pmu::decodePt(program, pmu::PtFilter::all(), trace);
+        auto alignments = alignTrace(program, paths, trace);
+        Replayer replayer(program, {});
+        auto accesses = replayer.replayAll(paths, alignments, trace);
+        uint64_t backward_b = 0;
+        for (const auto &acc : accesses) {
+            backward_b += acc.insn_index == insn_b &&
+                acc.origin == detect::AccessOrigin::kBackward;
+            auto it = oracle.find({acc.tid, acc.position});
+            ASSERT_NE(it, oracle.end());
+            bool matched = false;
+            for (const auto &e : it->second) {
+                matched |= e.insn_index == acc.insn_index &&
+                    e.addr == acc.addr && e.is_write == acc.is_write;
+            }
+            EXPECT_TRUE(matched) << "wrong address at " << acc.position;
+        }
+        EXPECT_GT(backward_b, 10u)
+            << "the pointer must be learned back through its copy";
+    }
+}
+
 TEST(Replayer, PcRelativeRecoveredWithoutAnySample)
 {
     // PC-relative accesses need only the PT path (paper §7.4): even with
@@ -404,6 +485,136 @@ TEST(Offline, TimingBreakdownIsPopulated)
     EXPECT_GT(result.extended_trace_events, 0u);
     EXPECT_GT(result.totalSeconds(), 0.0);
     EXPECT_GT(result.detect_stats.reads + result.detect_stats.writes, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Pinned reconstruction digests: the replay engine's exact output
+// (every ReconstructedAccess field, the consumed set and every
+// ReplayStats counter) for registry subjects at fixed seeds. A change
+// to the replay internals must leave these digests unchanged; a change
+// that means to alter reconstruction re-pins them deliberately.
+// ---------------------------------------------------------------------
+
+/** FNV-1a over a stream of 64-bit words. */
+struct Digest {
+    uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    add(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    std::string
+    hex() const
+    {
+        char buf[24];
+        std::snprintf(buf, sizeof(buf), "%016llx",
+                      static_cast<unsigned long long>(h));
+        return buf;
+    }
+};
+
+/**
+ * Fold one replay into @p d. The shadow-page counters join only for a
+ * replay without a blacklist: the blacklist is applied once per worker
+ * state, not once per pass, so it is not charged to any pass.
+ */
+void
+digestReplay(Digest &d, const Replayer &replayer,
+             const std::vector<ReconstructedAccess> &accesses,
+             bool shadow_counters)
+{
+    d.add(accesses.size());
+    for (const ReconstructedAccess &a : accesses) {
+        d.add(a.tid);
+        d.add(a.position);
+        d.add(a.insn_index);
+        d.add(a.addr);
+        d.add(a.width);
+        d.add(a.is_write);
+        d.add(a.is_atomic);
+        d.add(a.tsc);
+        d.add(static_cast<uint64_t>(a.origin));
+    }
+    std::vector<uint64_t> consumed(replayer.consumedAddresses().begin(),
+                                   replayer.consumedAddresses().end());
+    std::sort(consumed.begin(), consumed.end());
+    d.add(consumed.size());
+    for (const uint64_t addr : consumed)
+        d.add(addr);
+    const ReplayStats &st = replayer.stats();
+    for (const uint64_t v :
+         {st.sampled, st.recovered_forward, st.recovered_backward,
+          st.recovered_pcrel, st.recovered_constant, st.windows,
+          st.inconsistent_windows, st.backward_rounds, st.violations_branch,
+          st.violations_fact, st.violations_sample, st.violations_end,
+          st.violations_backward, st.window_retries,
+          st.windows_quarantined}) {
+        d.add(v);
+    }
+    if (shadow_counters) {
+        d.add(st.program_map.pages_allocated);
+        d.add(st.program_map.page_lookups);
+        d.add(st.program_map.cache_hits);
+        d.add(st.program_map.mem_invalidations);
+    }
+}
+
+/**
+ * Digest of one traced registry subject: full ProRace replay with the
+ * static analysis attached (as the offline analyzer runs it), a
+ * regeneration replay under a blacklist drawn from the consumed set,
+ * and the RaceZ basic-block replay.
+ */
+std::string
+subjectDigest(const std::string &name, double scale, uint64_t period,
+              uint64_t seed)
+{
+    const auto w = workload::findWorkload(name, scale);
+    PRORACE_ASSERT(w.has_value(), "unknown subject ", name);
+    const core::PipelineConfig cfg =
+        core::proRaceConfig(period, seed, w->pt_filter);
+    const core::RunArtifacts run =
+        core::Session::run(*w->program, w->setup, cfg.session);
+    const analysis::ProgramAnalysis pa(*w->program);
+    const auto paths = pmu::decodePt(*w->program, w->pt_filter, run.trace);
+    const auto alignments =
+        alignTrace(*w->program, paths, run.trace, nullptr, &pa);
+
+    Digest d;
+    ReplayConfig rcfg;
+    rcfg.analysis = &pa;
+    Replayer first(*w->program, rcfg);
+    digestReplay(d, first, first.replayAll(paths, alignments, run.trace),
+                 true);
+
+    std::vector<uint64_t> consumed(first.consumedAddresses().begin(),
+                                   first.consumedAddresses().end());
+    std::sort(consumed.begin(), consumed.end());
+    for (size_t i = 0; i < consumed.size(); i += 5)
+        rcfg.mem_blacklist.push_back({consumed[i] & ~7ull, 8});
+    Replayer regen(*w->program, rcfg);
+    digestReplay(d, regen, regen.replayAll(paths, alignments, run.trace),
+                 false);
+
+    rcfg.mode = ReplayMode::kBasicBlock;
+    Replayer racez(*w->program, rcfg);
+    digestReplay(d, racez, racez.replayAll(paths, alignments, run.trace),
+                 false);
+    return d.hex();
+}
+
+TEST(ReplayDigest, RegistrySubjectsArePinned)
+{
+    EXPECT_EQ(subjectDigest("mysql", 0.3, 2000, 5), "f77ece32da5ee91d");
+    EXPECT_EQ(subjectDigest("apache-25520", 0.5, 800, 3),
+              "7e4898f35907b6fc");
+    EXPECT_EQ(subjectDigest("ptr-dispatch", 1.0, 100, 7),
+              "bae5f08dd8446583");
 }
 
 } // namespace

@@ -289,6 +289,87 @@ TEST(PagedProgramMap, RandomizedDifferentialAgainstByteMap)
     EXPECT_EQ(paged.consumedAddresses(), ref.consumedAddresses());
 }
 
+TEST(PagedProgramMap, ReusedPassMatchesFreshMap)
+{
+    // One map serves many replay passes: after beginPass() it must read,
+    // log and count exactly like a fresh map given the same operations,
+    // while its blacklist (applied once) stays in force.
+    const uint64_t seed = testutil::testSeed(20261020);
+    PRORACE_SEED_TRACE(seed);
+    Rng rng(seed);
+    std::vector<uint64_t> bases;
+    for (uint64_t page = 0; page < 12; ++page) {
+        bases.push_back(0x40000 + page * 0x1000);
+        bases.push_back(0x40000 + page * 0x1000 + 0xffc);
+    }
+    const uint8_t widths[] = {1, 2, 4, 8};
+
+    for (const bool with_blacklist : {false, true}) {
+        ProgramMap reused;
+        if (with_blacklist) {
+            reused.blacklistMem(0x40ff8, 16); // straddles a page
+            reused.blacklistMem(0x43010, 8);
+        }
+        for (int pass = 0; pass < 6; ++pass) {
+            ProgramMap fresh;
+            if (with_blacklist) {
+                fresh.blacklistMem(0x40ff8, 16);
+                fresh.blacklistMem(0x43010, 8);
+                fresh.consumedLog().clear();
+            }
+            const replay::ProgramMapStats before = fresh.memStats();
+            reused.beginPass();
+            reused.consumedLog().clear();
+            EXPECT_EQ(reused.availableRegCount(), 0u);
+            for (int op = 0; op < 4000; ++op) {
+                const uint64_t addr = bases[rng.below(bases.size())] +
+                    rng.below(16);
+                const uint8_t width =
+                    widths[rng.below(sizeof(widths) / sizeof(widths[0]))];
+                switch (rng.below(10)) {
+                  case 0:
+                    fresh.invalidateMemory();
+                    reused.invalidateMemory();
+                    break;
+                  case 1:
+                    fresh.invalidateMem(addr, width);
+                    reused.invalidateMem(addr, width);
+                    break;
+                  case 2:
+                  case 3:
+                  case 4: {
+                    const auto a = fresh.readMem(addr, width);
+                    const auto b = reused.readMem(addr, width);
+                    ASSERT_EQ(a.has_value(), b.has_value())
+                        << "pass " << pass << " op " << op;
+                    if (a) {
+                        ASSERT_EQ(*a, *b);
+                    }
+                    break;
+                  }
+                  default: {
+                    const uint64_t value = rng.next();
+                    fresh.writeMem(addr, value, width);
+                    reused.writeMem(addr, value, width);
+                  }
+                }
+            }
+            EXPECT_EQ(fresh.consumedLog(), reused.consumedLog());
+            const replay::ProgramMapStats &a = fresh.memStats();
+            const replay::ProgramMapStats &b = reused.memStats();
+            EXPECT_EQ(a.mem_invalidations - before.mem_invalidations,
+                      b.mem_invalidations);
+            if (!with_blacklist) {
+                // A fresh map pays its blacklist's lookups and pages
+                // every pass; the reused map paid them once.
+                EXPECT_EQ(a.pages_allocated, b.pages_allocated);
+                EXPECT_EQ(a.page_lookups, b.page_lookups);
+                EXPECT_EQ(a.cache_hits, b.cache_hits);
+            }
+        }
+    }
+}
+
 TEST(PagedProgramMap, WidthAndOverflowAsserts)
 {
     ProgramMap pm;
