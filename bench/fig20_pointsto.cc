@@ -1,8 +1,8 @@
 /**
  * @file
  * Figure 20 (beyond the paper): what the Andersen points-to layer adds
- * to the offline phase — indirect-branch fan-out sharpening and replay
- * constant recovery — with report identity asserted everywhere.
+ * to the offline phase — replay constant recovery — with report
+ * identity asserted everywhere.
  *
  * For each subject the online phase runs once; the same trace is then
  * analyzed twice per trial, points-to on (`OfflineOptions::pointsto`)
@@ -11,10 +11,7 @@
  *   - the racy-pair set is byte-identical with points-to on and off on
  *     every subject, every workload of the full registry (small scale),
  *     and the full oracle battery including the sync-vocabulary half;
- *   - points-to off recovers no constant loads;
- *   - on every subject with resolved indirect transfers, the summed
- *     sharp fan-out is strictly smaller than the blunt address-taken
- *     fan-out.
+ *   - points-to off recovers no constant loads.
  *
  * `--json <path>` writes per-trial JSONL rows; `--jobs N` sets the
  * analysis thread count (default 2).
@@ -27,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analysis.hh"
 #include "bench_util.hh"
 #include "core/offline.hh"
 #include "core/pipeline.hh"
@@ -98,13 +94,12 @@ main(int argc, char **argv)
     const double scale = 0.05 * bench::envScale();
 
     bench::banner("Figure 20",
-                  "Andersen points-to layer: indirect fan-out "
-                  "sharpening, constant recovery — report identity "
-                  "asserted.");
+                  "Andersen points-to layer: constant recovery — "
+                  "report identity asserted.");
     std::printf("jobs = %u, trials = %d, period = %llu\n\n", jobs, trials,
                 static_cast<unsigned long long>(kPeriod));
-    std::printf("%-14s %9s %9s %7s %9s\n", "workload", "events",
-                "pruned", "const", "fanout");
+    std::printf("%-14s %9s %9s %7s\n", "workload", "events", "pruned",
+                "const");
 
     bool ok = true;
 
@@ -156,35 +151,10 @@ main(int argc, char **argv)
                  {"detect_off_s", r.off.detect_seconds}});
         }
 
-        // Static CFG sharpening: on subjects where the solver resolved
-        // indirect sites, the per-site fan-out must strictly shrink.
-        analysis::ProgramAnalysis pa(*w->program, true);
-        const analysis::StaticSummary sum = pa.summary();
-        const analysis::PointsToStats &pt = sum.pointsto;
-        if (pt.resolved_indirect_sites > 0 &&
-            pt.fanout_sharp >= pt.fanout_blunt) {
-            std::fprintf(stderr,
-                         "FAIL: %s resolved %llu indirect sites but the "
-                         "sharp fan-out (%llu) did not shrink below the "
-                         "blunt fan-out (%llu)\n",
-                         name,
-                         static_cast<unsigned long long>(
-                             pt.resolved_indirect_sites),
-                         static_cast<unsigned long long>(pt.fanout_sharp),
-                         static_cast<unsigned long long>(
-                             pt.fanout_blunt));
-            ok = false;
-        }
-
-        char fanout[48];
-        std::snprintf(fanout, sizeof(fanout), "%llu<%llu",
-                      static_cast<unsigned long long>(pt.fanout_sharp),
-                      static_cast<unsigned long long>(pt.fanout_blunt));
-        std::printf("%-14s %9llu %9llu %7llu %9s\n", name,
+        std::printf("%-14s %9llu %9llu %7llu\n", name,
                     static_cast<unsigned long long>(events),
                     static_cast<unsigned long long>(pruned),
-                    static_cast<unsigned long long>(recovered_const),
-                    pt.resolved_indirect_sites ? fanout : "-");
+                    static_cast<unsigned long long>(recovered_const));
     }
 
     // --- oracle batteries: identity must hold under planted races and

@@ -136,6 +136,17 @@ printShadowStats(const core::OfflineResult &result)
                 result.align_seconds, result.replay_seconds,
                 result.replay_stats.forward_seconds,
                 result.replay_stats.backward_seconds);
+    const replay::ReplayStats &rs = result.replay_stats;
+    std::printf("replay: %llu windows, %llu inconsistent; violations "
+                "%llu branch, %llu fact, %llu sample, %llu end, "
+                "%llu backward\n",
+                static_cast<unsigned long long>(rs.windows),
+                static_cast<unsigned long long>(rs.inconsistent_windows),
+                static_cast<unsigned long long>(rs.violations_branch),
+                static_cast<unsigned long long>(rs.violations_fact),
+                static_cast<unsigned long long>(rs.violations_sample),
+                static_cast<unsigned long long>(rs.violations_end),
+                static_cast<unsigned long long>(rs.violations_backward));
 
     const core::PrefilterStats &pf = result.prefilter;
     if (pf.enabled) {
@@ -268,8 +279,8 @@ usage()
                  "in the detector feed (the race report is identical; "
                  "detection just costs more)\n"
                  "--no-pointsto disables the Andersen points-to layer "
-                 "(indirect-branch sharpening, replay constant recovery; "
-                 "the race report is identical either way)\n"
+                 "and with it replay constant recovery (the race report "
+                 "is identical either way)\n"
                  "--no-run-summary dispatches every iteration of a "
                  "compressed run block through the detector instead of "
                  "folding proven-absorbed repeats (the race report is "
@@ -600,7 +611,6 @@ cmdStaticReport(const Args &args)
         "\"blocks\":%llu,\"edges\":%llu,\"reachable_blocks\":%llu,"
         "\"address_taken\":%llu,\"mem_sites\":%llu,"
         "\"thread_local_sites\":%llu,\"thread_local_fraction\":%.4f,"
-        "\"invertible_insns\":%llu,\"learn_insns\":%llu,"
         "\"rsp_integrity\":%s,\"no_stack_escape\":%s,\"sound\":%s}\n",
         args.workload.c_str(),
         static_cast<unsigned long long>(s.insns),
@@ -611,8 +621,6 @@ cmdStaticReport(const Args &args)
         static_cast<unsigned long long>(s.mem_sites),
         static_cast<unsigned long long>(s.thread_local_sites),
         s.threadLocalFraction(),
-        static_cast<unsigned long long>(s.invertible_insns),
-        static_cast<unsigned long long>(s.learn_insns),
         s.rsp_integrity ? "true" : "false",
         s.no_stack_escape ? "true" : "false",
         s.rsp_integrity && s.no_stack_escape ? "true" : "false");
@@ -640,10 +648,7 @@ cmdStaticReport(const Args &args)
             "{\"type\":\"pointsto\",\"workload\":\"%s\",\"objects\":%llu,"
             "\"alloc_sites\":%llu,\"constraints\":%llu,"
             "\"iterations\":%llu,\"cycles_collapsed\":%llu,"
-            "\"immutable_globals\":%llu,\"indirect_sites\":%llu,"
-            "\"resolved_indirect_sites\":%llu,\"fanout_blunt\":%llu,"
-            "\"fanout_sharp\":%llu,\"sharp_edges\":%llu,"
-            "\"sharp_reachable\":%llu,\"top_store\":%s}\n",
+            "\"immutable_globals\":%llu,\"top_store\":%s}\n",
             args.workload.c_str(),
             static_cast<unsigned long long>(pt.objects),
             static_cast<unsigned long long>(pt.alloc_sites),
@@ -651,12 +656,6 @@ cmdStaticReport(const Args &args)
             static_cast<unsigned long long>(pt.iterations),
             static_cast<unsigned long long>(pt.cycles_collapsed),
             static_cast<unsigned long long>(pt.immutable_globals),
-            static_cast<unsigned long long>(pt.indirect_sites),
-            static_cast<unsigned long long>(pt.resolved_indirect_sites),
-            static_cast<unsigned long long>(pt.fanout_blunt),
-            static_cast<unsigned long long>(pt.fanout_sharp),
-            static_cast<unsigned long long>(s.sharp_edges),
-            static_cast<unsigned long long>(s.sharp_reachable),
             pt.top_store ? "true" : "false");
     }
 
@@ -664,8 +663,7 @@ cmdStaticReport(const Args &args)
     std::fprintf(stderr,
                  "%s: %llu insns in %llu blocks (%llu reachable), "
                  "%llu edges, %llu address-taken\n"
-                 "  %llu memory sites, %llu thread-local (%.1f%%), "
-                 "%llu invertible insns, %llu learn insns\n"
+                 "  %llu memory sites, %llu thread-local (%.1f%%)\n"
                  "  rsp integrity %s, no stack escape %s\n",
                  args.workload.c_str(),
                  static_cast<unsigned long long>(s.insns),
@@ -676,25 +674,17 @@ cmdStaticReport(const Args &args)
                  static_cast<unsigned long long>(s.mem_sites),
                  static_cast<unsigned long long>(s.thread_local_sites),
                  100.0 * s.threadLocalFraction(),
-                 static_cast<unsigned long long>(s.invertible_insns),
-                 static_cast<unsigned long long>(s.learn_insns),
                  s.rsp_integrity ? "held" : "VIOLATED",
                  s.no_stack_escape ? "held" : "VIOLATED");
     if (s.pointsto_enabled) {
         const analysis::PointsToStats &pt = s.pointsto;
         std::fprintf(stderr,
                      "  points-to: %llu objects, %llu constraints; "
-                     "%llu immutable globals, %llu/%llu indirect sites "
-                     "resolved (fan-out %llu -> %llu), top store %s\n",
+                     "%llu immutable globals, top store %s\n",
                      static_cast<unsigned long long>(pt.objects),
                      static_cast<unsigned long long>(pt.constraints),
                      static_cast<unsigned long long>(
                          pt.immutable_globals),
-                     static_cast<unsigned long long>(
-                         pt.resolved_indirect_sites),
-                     static_cast<unsigned long long>(pt.indirect_sites),
-                     static_cast<unsigned long long>(pt.fanout_blunt),
-                     static_cast<unsigned long long>(pt.fanout_sharp),
                      pt.top_store ? "seen" : "none");
     }
     return 0;

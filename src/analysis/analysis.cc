@@ -21,13 +21,9 @@ ProgramAnalysis::ProgramAnalysis(const asmkit::Program &program,
     : program_(&program), facts_(buildFacts(program)), cfg_(program),
       dataflow_(cfg_, facts_), escape_(cfg_, facts_)
 {
-    if (!enable_pointsto)
-        return;
-    pointsto_ =
-        std::make_unique<PointsTo>(cfg_, dataflow_, escape_, facts_);
-    if (!pointsto_->indirectTargets().empty()) {
-        sharp_cfg_ = std::make_unique<Cfg>(program,
-                                           pointsto_->indirectTargets());
+    if (enable_pointsto) {
+        pointsto_ =
+            std::make_unique<PointsTo>(cfg_, dataflow_, escape_, facts_);
     }
 }
 
@@ -42,21 +38,12 @@ ProgramAnalysis::summary() const
     s.address_taken = static_cast<uint32_t>(cfg_.addressTaken().size());
     s.mem_sites = escape_.numSites();
     s.thread_local_sites = escape_.numThreadLocal();
-    for (const InsnFacts &f : facts_) {
-        if (f.invertible)
-            ++s.invertible_insns;
-        if (f.learns)
-            ++s.learn_insns;
-    }
     s.rsp_integrity = escape_.rspIntegrity();
     s.no_stack_escape = escape_.noStackEscape();
     if (pointsto_) {
         s.pointsto_enabled = true;
         s.pointsto = pointsto_->stats();
     }
-    const Cfg &sharp = sharpCfg();
-    s.sharp_edges = sharp.numEdges();
-    s.sharp_reachable = sharp.numReachable();
     return s;
 }
 

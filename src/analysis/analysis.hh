@@ -1,9 +1,10 @@
 /**
  * @file
  * Whole-program static analysis bundle: per-instruction fact tables,
- * CFG, dataflow, and escape analysis, computed once per program and
- * shared read-only by every consumer (aligner, replayer, detector
- * prefilter, CLI static-report).
+ * CFG, dataflow, escape and points-to analysis, computed once per
+ * program and shared read-only by every consumer (aligner, replayer,
+ * detector prefilter, CLI static-report). Each result here is read by
+ * alignment, replay, the prefilter or constant recovery.
  */
 
 #ifndef PRORACE_ANALYSIS_ANALYSIS_HH
@@ -30,14 +31,10 @@ struct StaticSummary {
     uint32_t address_taken = 0;
     uint32_t mem_sites = 0;          ///< instructions with memory events
     uint32_t thread_local_sites = 0; ///< provably private subset
-    uint32_t invertible_insns = 0;   ///< some operand reverse-executable
-    uint32_t learn_insns = 0;        ///< teach an unwritten register
     bool rsp_integrity = false;
     bool no_stack_escape = false;
     bool pointsto_enabled = false;
     PointsToStats pointsto;          ///< zero-valued when disabled
-    uint32_t sharp_edges = 0;        ///< sharpened-CFG edge count
-    uint32_t sharp_reachable = 0;    ///< sharpened-CFG reachable blocks
 
     double
     threadLocalFraction() const
@@ -56,11 +53,10 @@ class ProgramAnalysis
 {
   public:
     /**
-     * @p enable_pointsto gates the Andersen layer (and both consumers
-     * built on it: CFG sharpening and constant recovery). The blunt
-     * cfg/dataflow/escape trio is identical either way, so every
-     * report-affecting result is too — the flag only removes the
-     * sharper CFG and the extra recovered loads (--no-pointsto).
+     * @p enable_pointsto gates the Andersen layer and its one consumer,
+     * replay constant recovery. The cfg/dataflow/escape trio is
+     * identical either way, so every report-affecting result is too —
+     * the flag only removes the extra recovered loads (--no-pointsto).
      */
     explicit ProgramAnalysis(const asmkit::Program &program,
                              bool enable_pointsto = true);
@@ -73,19 +69,8 @@ class ProgramAnalysis
     /** Points-to layer, or nullptr when disabled. */
     const PointsTo *pointsTo() const { return pointsto_.get(); }
 
-    /**
-     * The CFG with indirect fan-outs narrowed to resolved points-to
-     * target sets; the blunt cfg() when the layer is disabled or
-     * resolved nothing.
-     */
-    const Cfg &sharpCfg() const
-    {
-        return sharp_cfg_ ? *sharp_cfg_ : cfg_;
-    }
-
     /** Precomputed per-instruction facts (indexed by instruction). */
     const InsnFacts &facts(uint32_t index) const { return facts_[index]; }
-    const std::vector<InsnFacts> &factsTable() const { return facts_; }
 
     /** May-write register mask of a whole basic block. */
     uint16_t
@@ -110,7 +95,6 @@ class ProgramAnalysis
     Dataflow dataflow_;
     EscapeAnalysis escape_;
     std::unique_ptr<PointsTo> pointsto_;
-    std::unique_ptr<Cfg> sharp_cfg_;
 };
 
 } // namespace prorace::analysis

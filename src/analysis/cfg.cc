@@ -26,27 +26,6 @@ addEdge(std::vector<CfgBlock> &blocks, uint32_t from, uint32_t to)
 Cfg::Cfg(const asmkit::Program &program)
     : program_(&program), blocks_(program.numBlocks())
 {
-    build();
-}
-
-Cfg::Cfg(const asmkit::Program &program,
-         const std::map<uint32_t, std::vector<uint32_t>> &resolved_indirect)
-    : program_(&program), blocks_(program.numBlocks()),
-      resolved_indirect_(resolved_indirect), sharpened_(true)
-{
-    for (const auto &[insn, targets] : resolved_indirect_) {
-        PRORACE_ASSERT(
-            std::is_sorted(targets.begin(), targets.end()) &&
-                std::adjacent_find(targets.begin(), targets.end()) ==
-                    targets.end(),
-            "resolved indirect targets must be sorted and unique");
-    }
-    build();
-}
-
-void
-Cfg::build()
-{
     collectAddressTaken();
     buildEdges();
     computeReachability();
@@ -58,13 +37,6 @@ Cfg::build()
                                address_taken_.end()) ==
                 address_taken_.end(),
         "addressTaken() must be sorted and unique");
-}
-
-const std::vector<uint32_t> &
-Cfg::indirectFanOut(uint32_t insn) const
-{
-    const auto it = resolved_indirect_.find(insn);
-    return it != resolved_indirect_.end() ? it->second : address_taken_;
 }
 
 void
@@ -91,21 +63,8 @@ Cfg::collectAddressTaken()
     address_taken_.erase(
         std::unique(address_taken_.begin(), address_taken_.end()),
         address_taken_.end());
-    if (!sharpened_) {
-        for (const uint32_t target : address_taken_)
-            blocks_[p.blockOf(target)].is_address_taken = true;
-        return;
-    }
-    // Sharpened: only blocks an actual indirect transfer may reach are
-    // unenumerable entries; blocks the blunt superset alone names keep
-    // their exact edge list.
-    for (uint32_t i = 0; i < p.size(); ++i) {
-        const Op op = p.insnAt(i).op;
-        if (op != Op::kJmpInd && op != Op::kCallInd)
-            continue;
-        for (const uint32_t target : indirectFanOut(i))
-            blocks_[p.blockOf(target)].is_address_taken = true;
-    }
+    for (const uint32_t target : address_taken_)
+        blocks_[p.blockOf(target)].is_address_taken = true;
 }
 
 void
@@ -134,7 +93,7 @@ Cfg::buildEdges()
             break;
           case Op::kJmpInd:
             has_indirect_ = true;
-            for (const uint32_t t : indirectFanOut(last))
+            for (const uint32_t t : address_taken_)
                 addEdge(blocks_, b, p.blockOf(t));
             break;
           case Op::kCall:
@@ -148,7 +107,7 @@ Cfg::buildEdges()
             break;
           case Op::kCallInd:
             has_indirect_ = true;
-            for (const uint32_t t : indirectFanOut(last))
+            for (const uint32_t t : address_taken_)
                 addEdge(blocks_, b, p.blockOf(t));
             if (has_next) {
                 addEdge(blocks_, b, next);
@@ -205,18 +164,9 @@ Cfg::computeReachability()
         work.pop_back();
         for (const uint32_t s : blocks_[b].succs)
             visit(s);
-        const uint32_t last_index = p.blockEnd(b) - 1;
-        const Insn &last = p.insnAt(last_index);
+        const Insn &last = p.insnAt(p.blockEnd(b) - 1);
         if (last.op == Op::kSpawn)
             visit(p.blockOf(last.target));
-        // A reachable indirect transfer may reach every block in its
-        // fan-out (the edges already exist; this only matters when the
-        // target set grows through blocks found later). visit() is
-        // idempotent, so re-walking a site's fan-out is harmless.
-        if (last.op == Op::kJmpInd || last.op == Op::kCallInd) {
-            for (const uint32_t t : indirectFanOut(last_index))
-                visit(p.blockOf(t));
-        }
     }
     for (const CfgBlock &blk : blocks_)
         num_reachable_ += blk.reachable ? 1 : 0;

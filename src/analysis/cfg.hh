@@ -27,7 +27,6 @@
 #define PRORACE_ANALYSIS_CFG_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "asmkit/program.hh"
@@ -58,25 +57,12 @@ class Cfg
   public:
     explicit Cfg(const asmkit::Program &program);
 
-    /**
-     * Sharpened construction: indirect jumps/calls whose instruction
-     * index appears in @p resolved_indirect fan out to exactly the
-     * given (sorted, deduped) target list instead of the global
-     * address-taken set; unresolved sites keep the blunt fan-out.
-     * Resolved target blocks are still flagged address-taken /
-     * unknown-entry, but blocks only the *blunt* set named no longer
-     * are — shrinking edges and growing the dead-block set.
-     */
-    Cfg(const asmkit::Program &program,
-        const std::map<uint32_t, std::vector<uint32_t>> &resolved_indirect);
-
     const asmkit::Program &program() const { return *program_; }
     uint32_t numBlocks() const
     {
         return static_cast<uint32_t>(blocks_.size());
     }
     const CfgBlock &block(uint32_t id) const { return blocks_[id]; }
-    const std::vector<CfgBlock> &blocks() const { return blocks_; }
 
     /**
      * Instruction indices that may be indirect-transfer targets. Sorted
@@ -91,25 +77,17 @@ class Cfg
     /** True when the program contains an indirect jump or call. */
     bool hasIndirectTransfers() const { return has_indirect_; }
 
-    /** True when built with a resolved-indirect-target map. */
-    bool sharpened() const { return sharpened_; }
-
     uint32_t numEdges() const { return num_edges_; }
     uint32_t numReachable() const { return num_reachable_; }
 
   private:
-    void build();
     void collectAddressTaken();
     void buildEdges();
     void computeReachability();
-    /** Fan-out of the indirect transfer at @p insn. */
-    const std::vector<uint32_t> &indirectFanOut(uint32_t insn) const;
 
     const asmkit::Program *program_;
     std::vector<CfgBlock> blocks_;
     std::vector<uint32_t> address_taken_;
-    std::map<uint32_t, std::vector<uint32_t>> resolved_indirect_;
-    bool sharpened_ = false;
     bool has_indirect_ = false;
     uint32_t num_edges_ = 0;
     uint32_t num_reachable_ = 0;

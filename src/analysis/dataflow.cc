@@ -1,16 +1,13 @@
 #include "analysis/dataflow.hh"
 
-#include "isa/opcode.hh"
+#include <array>
 
 namespace prorace::analysis {
-
-using isa::Op;
 
 Dataflow::Dataflow(const Cfg &cfg, const std::vector<InsnFacts> &facts)
     : blocks_(cfg.numBlocks())
 {
     summarizeBlocks(cfg, facts);
-    solveLiveness(cfg);
     solveReaching(cfg, facts);
 }
 
@@ -21,55 +18,8 @@ Dataflow::summarizeBlocks(const Cfg &cfg,
     const asmkit::Program &p = cfg.program();
     for (uint32_t b = 0; b < cfg.numBlocks(); ++b) {
         BlockDataflow &blk = blocks_[b];
-        for (uint32_t i = p.blockBegin(b); i < p.blockEnd(b); ++i) {
-            const InsnFacts &f = facts[i];
-            blk.use |= static_cast<uint16_t>(f.uses & ~blk.kill);
-            blk.kill |= f.kill;
-            blk.mem_ops += f.mem_ops;
-        }
-    }
-}
-
-void
-Dataflow::solveLiveness(const Cfg &cfg)
-{
-    const asmkit::Program &p = cfg.program();
-    // A block whose dynamic successors the CFG cannot enumerate exactly
-    // (indirect transfer fans out over an over-approximation, a return
-    // transfers to an unknown caller) conservatively keeps everything
-    // live out. Halt ends the thread: nothing is live after it.
-    std::vector<uint16_t> boundary_out(cfg.numBlocks(), 0);
-    for (uint32_t b = 0; b < cfg.numBlocks(); ++b) {
-        const Op last = p.insnAt(p.blockEnd(b) - 1).op;
-        if (last == Op::kRet || last == Op::kJmpInd ||
-            last == Op::kCallInd || last == Op::kCall ||
-            last == Op::kSpawn) {
-            // Calls/spawns hand registers to another context.
-            boundary_out[b] = 0xffff;
-        }
-        if (p.blockEnd(b) == p.size() && last != Op::kHalt &&
-            last != Op::kRet && last != Op::kJmp) {
-            boundary_out[b] = 0xffff; // runs off the end of the program
-        }
-    }
-
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        ++liveness_iterations_;
-        for (uint32_t bi = cfg.numBlocks(); bi-- > 0;) {
-            BlockDataflow &blk = blocks_[bi];
-            uint16_t out = boundary_out[bi];
-            for (const uint32_t s : cfg.block(bi).succs)
-                out |= blocks_[s].live_in;
-            const uint16_t in = static_cast<uint16_t>(
-                blk.use | (out & ~blk.kill));
-            if (out != blk.live_out || in != blk.live_in) {
-                blk.live_out = out;
-                blk.live_in = in;
-                changed = true;
-            }
-        }
+        for (uint32_t i = p.blockBegin(b); i < p.blockEnd(b); ++i)
+            blk.kill |= facts[i].kill;
     }
 }
 
@@ -102,19 +52,15 @@ Dataflow::solveReaching(const Cfg &cfg,
     // the block writing it (or "external" when a call/gap-like boundary
     // sits in between — calls end blocks, so within a block defs are
     // plain instruction indices).
-    struct BlockGen {
-        ReachingDef def[isa::kNumGprs];
-        uint16_t kill = 0;
-    };
-    std::vector<BlockGen> gen(cfg.numBlocks());
+    std::vector<std::array<ReachingDef, isa::kNumGprs>> gen(
+        cfg.numBlocks());
     for (uint32_t b = 0; b < cfg.numBlocks(); ++b) {
         for (uint32_t i = p.blockBegin(b); i < p.blockEnd(b); ++i) {
             const uint16_t kill = facts[i].kill;
             for (unsigned r = 0; r < isa::kNumGprs; ++r) {
                 if ((kill >> r) & 1u)
-                    gen[b].def[r] = {ReachingDef::kUnique, i};
+                    gen[b][r] = {ReachingDef::kUnique, i};
             }
-            gen[b].kill |= kill;
         }
     }
 
@@ -123,7 +69,6 @@ Dataflow::solveReaching(const Cfg &cfg,
     bool changed = true;
     while (changed) {
         changed = false;
-        ++reaching_iterations_;
         for (uint32_t b = 0; b < cfg.numBlocks(); ++b) {
             const CfgBlock &node = cfg.block(b);
             ReachingDef in[isa::kNumGprs];
@@ -133,8 +78,8 @@ Dataflow::solveReaching(const Cfg &cfg,
             }
             for (const uint32_t pb : node.preds) {
                 for (unsigned r = 0; r < isa::kNumGprs; ++r) {
-                    ReachingDef out = ((gen[pb].kill >> r) & 1u)
-                        ? gen[pb].def[r]
+                    ReachingDef out = ((blocks_[pb].kill >> r) & 1u)
+                        ? gen[pb][r]
                         : blocks_[pb].reach_in[r];
                     in[r] = meetDefs(in[r], out);
                 }

@@ -1,18 +1,12 @@
 /**
  * @file
- * Classic register dataflow over the recovered CFG: per-block kill/use
- * masks, backward liveness, and a collapsed reaching-definitions pass.
+ * Register dataflow over the recovered CFG: per-block kill masks (read
+ * by the replayer's block skip) and a collapsed reaching-definitions
+ * pass (read by points-to constraint generation).
  *
- * All three are register-mask lattices (16 GPRs), so block states are
- * plain uint16_t and the fixpoints are worklist loops over bit
- * operations. Conservatism at unknown boundaries:
- *
- *  - liveness treats a block with an unenumerable successor set
- *    (indirect transfer, return, halt-less end) as having everything
- *    live out;
- *  - reaching definitions treats an `unknown_entry` block (thread
- *    entry, indirect target, return site) as receiving an external
- *    definition of every register.
+ * Reaching definitions is conservative at unknown boundaries: an
+ * `unknown_entry` block (thread entry, indirect target, return site)
+ * receives an external definition of every register.
  */
 
 #ifndef PRORACE_ANALYSIS_DATAFLOW_HH
@@ -49,10 +43,6 @@ struct ReachingDef {
 /** Per-block dataflow summaries and fixpoint results. */
 struct BlockDataflow {
     uint16_t kill = 0;      ///< GPRs the block may write
-    uint16_t use = 0;       ///< GPRs read before any write in the block
-    uint32_t mem_ops = 0;   ///< PEBS-countable events in the block
-    uint16_t live_in = 0;   ///< GPRs live at block entry
-    uint16_t live_out = 0;  ///< GPRs live at block exit
     /** Entry reaching definition per GPR. */
     ReachingDef reach_in[isa::kNumGprs];
 };
@@ -65,24 +55,17 @@ class Dataflow
     Dataflow(const Cfg &cfg, const std::vector<InsnFacts> &facts);
 
     const BlockDataflow &block(uint32_t id) const { return blocks_[id]; }
-    const std::vector<BlockDataflow> &blocks() const { return blocks_; }
 
     /** May-write register mask of one whole block. */
     uint16_t killMask(uint32_t block) const { return blocks_[block].kill; }
 
-    uint32_t livenessIterations() const { return liveness_iterations_; }
-    uint32_t reachingIterations() const { return reaching_iterations_; }
-
   private:
     void summarizeBlocks(const Cfg &cfg,
                          const std::vector<InsnFacts> &facts);
-    void solveLiveness(const Cfg &cfg);
     void solveReaching(const Cfg &cfg,
                        const std::vector<InsnFacts> &facts);
 
     std::vector<BlockDataflow> blocks_;
-    uint32_t liveness_iterations_ = 0;
-    uint32_t reaching_iterations_ = 0;
 };
 
 } // namespace prorace::analysis

@@ -752,9 +752,6 @@ PointsTo::generate()
                 break;
             }
 
-            if (insn.op == Op::kJmpInd || insn.op == Op::kCallInd)
-                indirect_reg_.emplace(i, use(insn.src));
-
             // Safety net: any remaining killed register degrades to ⊤.
             uint16_t rest =
                 static_cast<uint16_t>((*facts_)[i].kill & ~defed);
@@ -875,39 +872,6 @@ PointsTo::classify()
             }
         }
         std::sort(immutable_ranges_.begin(), immutable_ranges_.end());
-    }
-
-    // --- indirect-transfer resolution -------------------------------
-    const size_t blunt = cfg_->addressTaken().size();
-    for (const auto &[i, node] : indirect_reg_) {
-        ++stats_.indirect_sites;
-        stats_.fanout_blunt += blunt;
-        const ObjSet &pts = s.pointsTo(node);
-        std::vector<uint32_t> targets;
-        bool resolved = !pts.empty() && !s.topStoreSeen();
-        if (resolved) {
-            for (const uint32_t o : pts.toVector()) {
-                if (o == AndersenSolver::kObjTop ||
-                    o == AndersenSolver::kObjTopCode) {
-                    resolved = false;
-                    break;
-                }
-                if (objects_[o].kind == AbstractObject::Kind::kCode)
-                    targets.push_back(objects_[o].insn);
-            }
-        }
-        if (resolved && targets.empty())
-            resolved = false; // never trust an empty target set
-        if (resolved) {
-            std::sort(targets.begin(), targets.end());
-            targets.erase(std::unique(targets.begin(), targets.end()),
-                          targets.end());
-            stats_.fanout_sharp += targets.size();
-            ++stats_.resolved_indirect_sites;
-            indirect_targets_.emplace(i, std::move(targets));
-        } else {
-            stats_.fanout_sharp += blunt;
-        }
     }
 }
 

@@ -17,7 +17,7 @@
  * allocation site (a forged heap pointer could name any of them), but
  * it stays distinct from ⊤ so a store through a heap-range constant —
  * e.g. a PRNG seed that merely looks like a heap address — is not a
- * top store and voids neither consumer.
+ * top store and does not void constant recovery.
  *
  * Constraints are generated from the PR 5 reaching-definitions facts:
  * each register read at a block entry is wired to the unique reaching
@@ -42,15 +42,11 @@
  * nodes with equal non-empty solutions, the solver looks for the cycle
  * and collapses it with union-find, keeping the fixpoint near-linear.
  *
- * Two consumers, each voided entirely by any top store (a smeared
- * store could plant a code pointer or overwrite a global that the
- * per-object contents miss):
- *  - CFG sharpening: the resolved target set of each indirect
- *    jump/call (code objects in the target register's solution, when
- *    ⊤/⊤code-free) replaces the global address-taken fan-out.
- *  - Replay constant recovery: globals no store may reach are
- *    immutable, so their initial bytes are their bytes forever and
- *    reverse execution can recover loads from them.
+ * One consumer, replay constant recovery: globals no store may reach
+ * are immutable, so their initial bytes are their bytes forever and
+ * reverse execution can recover loads from them. Any top store voids
+ * it entirely (a smeared store could overwrite a global that the
+ * per-object contents miss).
  *
  * See DESIGN.md §17 for the full model and the soundness argument.
  */
@@ -310,17 +306,13 @@ struct PointsToStats {
     uint64_t iterations = 0;
     uint32_t cycles_collapsed = 0;
     uint32_t immutable_globals = 0;
-    uint32_t indirect_sites = 0;
-    uint32_t resolved_indirect_sites = 0;
-    uint64_t fanout_blunt = 0;  ///< Σ address-taken per indirect site
-    uint64_t fanout_sharp = 0;  ///< Σ resolved targets per site
     bool top_store = false;  ///< some store's address may be ⊤/⊤code
 };
 
 /**
  * Program-facing points-to results: constraint generation from the
- * CFG/dataflow/escape trio, plus the two consumer views.
- * Immutable after construction.
+ * CFG/dataflow/escape trio, plus the immutability view constant
+ * recovery reads. Immutable after construction.
  */
 class PointsTo
 {
@@ -328,18 +320,6 @@ class PointsTo
     PointsTo(const Cfg &cfg, const Dataflow &dataflow,
              const EscapeAnalysis &escape,
              const std::vector<InsnFacts> &facts);
-
-    /**
-     * Resolved target sets for indirect transfers: insn index of the
-     * kJmpInd/kCallInd → sorted, deduped instruction targets. Sites
-     * whose target register may be ⊤/⊤code are absent (fall back to
-     * the address-taken set); empty whenever a top store was seen.
-     */
-    const std::map<uint32_t, std::vector<uint32_t>> &
-    indirectTargets() const
-    {
-        return indirect_targets_;
-    }
 
     /** True when at least one global is provably immutable. */
     bool anyImmutable() const { return stats_.immutable_globals > 0; }
@@ -389,10 +369,8 @@ class PointsTo
     std::vector<std::array<uint32_t, isa::kNumGprs>> block_out_;
     std::vector<uint32_t> site_addr_;   ///< per-insn address node or ~0
     std::vector<uint8_t> site_writes_;  ///< insn may write its target
-    std::map<uint32_t, uint32_t> indirect_reg_; ///< insn → target node
     std::vector<uint32_t> extra_written_; ///< nodes whose pointees are
                                           ///< written outside a store
-    std::map<uint32_t, std::vector<uint32_t>> indirect_targets_;
     std::vector<std::pair<uint64_t, uint64_t>> immutable_ranges_;
     PointsToStats stats_;
 };

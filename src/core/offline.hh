@@ -100,8 +100,8 @@ struct OfflineOptions {
      */
     bool static_prefilter = true;
     /**
-     * Run the Andersen points-to layer (CFG sharpening, replay
-     * constant recovery). The blunt analyses, the prefilter and the
+     * Run the Andersen points-to layer and its one consumer, replay
+     * constant recovery. The other analyses, the prefilter and the
      * race report are byte-identical with the layer on or off; only
      * the loads replay recovers change. `--no-pointsto` in the CLI
      * maps here.

@@ -148,8 +148,11 @@ Journal::append(uint32_t type, const std::vector<uint8_t> &payload)
     writeLe32(frame.data() + 8, static_cast<uint32_t>(payload.size()));
     writeLe32(frame.data() + 12,
               recordCrc(type, payload.data(), payload.size()));
-    std::memcpy(frame.data() + kRecordHeaderSize, payload.data(),
-                payload.size());
+    // An empty vector's data() may be null, which memcpy must not see.
+    if (payload.size() > 0) {
+        std::memcpy(frame.data() + kRecordHeaderSize, payload.data(),
+                    payload.size());
+    }
 
     size_t written = 0;
     while (written < frame.size()) {

@@ -60,10 +60,9 @@ Workload makeEventLoop(unsigned threads, uint32_t items,
  * (movLabel + store) and each worker calls through it indirectly.
  * Handlers are read-only on shared state; every worker fills and reads
  * a private malloc'd buffer that never escapes its thread. Exercises
- * both points-to consumers at once: indirect-branch sharpening (the
- * two callind sites resolve to exact target sets) and constant
- * recovery (coeff reached through the coeffp second-level pointer).
- * Race-free by construction.
+ * points-to constant recovery (coeff reached through the coeffp
+ * second-level pointer) and the address-taken lint (the two callind
+ * sites reach only handler-table targets). Race-free by construction.
  */
 Workload makePtrDispatch(unsigned threads, uint32_t items,
                          double scale = 1.0);

@@ -50,11 +50,6 @@ TEST(InsnFacts, TableMatchesReplayStaticInfo)
         const InsnFacts &f = pa.facts(i);
         EXPECT_EQ(f.kill, replay::regWriteMask(insn)) << "insn " << i;
         EXPECT_EQ(f.mem_ops, replay::memOpCount(insn)) << "insn " << i;
-        EXPECT_EQ(f.uses, regReadMask(insn)) << "insn " << i;
-        // Invertible registers are written registers; learned registers
-        // are, by definition, *not* written.
-        EXPECT_EQ(f.invertible & ~f.kill, 0) << "insn " << i;
-        EXPECT_EQ(f.learns & f.kill, 0) << "insn " << i;
     }
 }
 
@@ -94,10 +89,6 @@ TEST(Cfg, ProgramEndingWithoutRetOrHalt)
     const uint32_t last = cfg.numBlocks() - 1;
     // The trailing block has no fall-through block to go to.
     EXPECT_TRUE(cfg.block(last).succs.empty());
-    // Dataflow must treat the ragged end conservatively: everything
-    // potentially live out, so nothing is wrongly proved dead.
-    const ProgramAnalysis pa(program);
-    EXPECT_EQ(pa.dataflow().block(last).live_out, 0xffff);
 }
 
 TEST(Cfg, UnreachableBlockIsFlagged)
@@ -198,55 +189,12 @@ TEST(Dataflow, BlockKillIsUnionOfInsnKills)
     const ProgramAnalysis pa(program);
     for (uint32_t b = 0; b < pa.cfg().numBlocks(); ++b) {
         uint16_t expect = 0;
-        uint32_t mem = 0;
         for (uint32_t i = program.blockBegin(b); i < program.blockEnd(b);
              ++i) {
             expect |= pa.facts(i).kill;
-            mem += pa.facts(i).mem_ops;
         }
         EXPECT_EQ(pa.blockKill(b), expect) << "block " << b;
-        EXPECT_EQ(pa.dataflow().block(b).mem_ops, mem) << "block " << b;
     }
-}
-
-TEST(Dataflow, LivenessOnDiamond)
-{
-    ProgramBuilder b;
-    b.global("out", 8);
-    b.label("main");
-    b.movri(Reg::rax, 1);
-    b.cmpri(Reg::rax, 0);
-    b.jcc(CondCode::kEq, "right");
-    b.movrr(Reg::rbx, Reg::rax); // left: reads rax
-    b.jmp("join");
-    b.label("right");
-    b.movri(Reg::rbx, 5); // right: rax dead here
-    b.label("join");
-    b.store(b.symRef("out"), Reg::rbx);
-    b.halt();
-    const Program program = b.build();
-    const ProgramAnalysis pa(program);
-
-    const uint16_t rax = regBit(Reg::rax);
-    const uint16_t rbx = regBit(Reg::rbx);
-    // rax is live into the left arm (movrr reads it), not the right.
-    bool saw_left = false, saw_right = false, saw_join = false;
-    for (uint32_t blk = 0; blk < pa.cfg().numBlocks(); ++blk) {
-        const isa::Insn &first = program.insnAt(program.blockBegin(blk));
-        const BlockDataflow &df = pa.dataflow().block(blk);
-        if (first.op == isa::Op::kMovRR) {
-            saw_left = true;
-            EXPECT_TRUE(df.live_in & rax);
-        } else if (first.op == isa::Op::kMovRI &&
-                   first.dst == Reg::rbx) {
-            saw_right = true;
-            EXPECT_FALSE(df.live_in & rax);
-        } else if (first.op == isa::Op::kStore) {
-            saw_join = true;
-            EXPECT_TRUE(df.live_in & rbx);
-        }
-    }
-    EXPECT_TRUE(saw_left && saw_right && saw_join);
 }
 
 TEST(Dataflow, ReachingDefsUniqueAmbiguousExternal)
@@ -866,13 +814,13 @@ TEST(AndersenSolverTest, CycleCollapsePreservesSolutionAndFires)
 }
 
 // ---------------------------------------------------------------------
-// Program-level points-to: the two consumers and their gating.
+// Program-level points-to: immutability and its gating.
 // ---------------------------------------------------------------------
 
 TEST(PointsTo, PtrDispatchConsumersAllLive)
 {
-    // The dispatch workload exercises both consumers: resolvable
-    // indirect calls and immutable global tables.
+    // The dispatch workload's global tables are read through indirect
+    // calls and never written: the solver must prove them immutable.
     const auto w = workload::findWorkload("ptr-dispatch", 0.05);
     ASSERT_TRUE(w.has_value());
     const ProgramAnalysis pa(*w->program, true);
@@ -883,11 +831,6 @@ TEST(PointsTo, PtrDispatchConsumersAllLive)
     EXPECT_FALSE(st.top_store);
     EXPECT_GE(st.immutable_globals, 1u);
     EXPECT_TRUE(pt->anyImmutable());
-    EXPECT_GT(st.indirect_sites, 0u);
-    EXPECT_EQ(st.resolved_indirect_sites, st.indirect_sites);
-    EXPECT_LT(st.fanout_sharp, st.fanout_blunt);
-
-    EXPECT_FALSE(pt->indirectTargets().empty());
 }
 
 TEST(PointsTo, HeapLiteralStoreIsNotTopStore)
@@ -913,22 +856,22 @@ TEST(PointsTo, HeapLiteralStoreIsNotTopStore)
 
 TEST(PointsTo, ForgedHeapStoreReachesAllocationLoads)
 {
-    // A code pointer stored through a forged heap pointer may land in
+    // A data pointer stored through a forged heap pointer may land in
     // any allocation, so a load from a real allocation must see it and
-    // the indirect call it feeds must resolve to that target.
+    // the store through the loaded pointer must make its global
+    // mutable. An untouched global stays immutable: no top store.
     ProgramBuilder b;
+    const uint64_t target_addr = b.globalU64("target", 42);
+    const uint64_t table_addr = b.globalU64("table", 123);
     b.beginFunction("main");
     b.movri(Reg::rax, static_cast<int64_t>(asmkit::kHeapBase + 0x100));
-    b.movLabel(Reg::rdx, "helper");
+    b.lea(Reg::rdx, b.symRef("target"));
     b.store(MemOperand::baseDisp(Reg::rax, 0), Reg::rdx);
     b.movri(Reg::rcx, 64);
     b.mallocCall(Reg::rbx, Reg::rcx);
     b.load(Reg::r8, MemOperand::baseDisp(Reg::rbx, 0));
-    b.callind(Reg::r8);
+    b.storei(MemOperand::baseDisp(Reg::r8, 0), 7);
     b.halt();
-    b.endFunction();
-    b.beginFunction("helper");
-    b.ret();
     b.endFunction();
     const Program program = b.build();
 
@@ -936,21 +879,17 @@ TEST(PointsTo, ForgedHeapStoreReachesAllocationLoads)
     const PointsTo *pt = pa.pointsTo();
     ASSERT_NE(pt, nullptr);
     EXPECT_FALSE(pt->stats().top_store);
-    ASSERT_EQ(pt->indirectTargets().size(), 1u);
-    const std::vector<uint32_t> &targets =
-        pt->indirectTargets().begin()->second;
-    EXPECT_NE(std::find(targets.begin(), targets.end(),
-                        program.labelAddr("helper")),
-              targets.end());
+    EXPECT_FALSE(pt->immutableCovers(target_addr, 8));
+    EXPECT_TRUE(pt->immutableCovers(table_addr, 8));
 }
 
 TEST(PointsTo, BoundaryPoolsAvoidPhantomTopStore)
 {
     // A helper reached only through an indirect call stores through
     // rdi. Its entry block has no enumerable predecessors, so the old
-    // blanket-⊤ wiring would have smeared the store and killed both
-    // immutability and CFG sharpening; the per-register boundary pools
-    // constrain rdi to what the call site actually passed.
+    // blanket-⊤ wiring would have smeared the store and killed
+    // immutability; the per-register boundary pools constrain rdi to
+    // what the call site actually passed.
     ProgramBuilder b;
     const uint64_t cell_addr = b.global("cell", 8);
     const uint64_t table_addr = b.globalU64("table", 123);
@@ -977,14 +916,6 @@ TEST(PointsTo, BoundaryPoolsAvoidPhantomTopStore)
     EXPECT_FALSE(pt->immutableCovers(cell_addr, 8));
     EXPECT_TRUE(pt->immutableCovers(table_addr, 8));
     EXPECT_EQ(pt->constantAt(table_addr, 8), 123u);
-    // The indirect call resolves to exactly the taken helper.
-    EXPECT_EQ(pt->stats().indirect_sites, 1u);
-    EXPECT_EQ(pt->stats().resolved_indirect_sites, 1u);
-    ASSERT_EQ(pt->indirectTargets().size(), 1u);
-    const auto &[site, targets] = *pt->indirectTargets().begin();
-    EXPECT_EQ(program.insnAt(site).op, isa::Op::kCallInd);
-    ASSERT_EQ(targets.size(), 1u);
-    EXPECT_EQ(targets[0], program.labelAddr("helper"));
 }
 
 TEST(PointsTo, ReportsIdenticalOnOracleBattery)
